@@ -17,7 +17,7 @@ from repro.models import build_model
 ])
 def test_predicted_mode_profiling_cost(benchmark, model, batch):
     """Analytical profiling must stay in the seconds range even for the
-    2800-node Swin — against the simulated NCU's ~half hour."""
+    1114-node swin-small — against the simulated NCU's ~half hour."""
     profiler = Profiler("trt-sim", "a100", "fp16")
 
     def run():

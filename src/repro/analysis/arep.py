@@ -133,9 +133,11 @@ class AnalyzeRepresentation:
         self.layer_store = None
         self.ops: List[AnalyzedOp] = [AnalyzedOp(n, self) for n in graph.toposort()]
         self._by_output: Dict[str, AnalyzedOp] = {}
+        self._by_name: Dict[str, AnalyzedOp] = {}
         for op in self.ops:
             for out in op.outputs:
                 self._by_output[out] = op
+            self._by_name.setdefault(op.name, op)
 
     # -- tensor info -------------------------------------------------------
     def tensor(self, name: str) -> TensorInfo:
@@ -149,10 +151,7 @@ class AnalyzeRepresentation:
         return self._by_output.get(tensor)
 
     def op_by_name(self, name: str) -> Optional[AnalyzedOp]:
-        for op in self.ops:
-            if op.name == name:
-                return op
-        return None
+        return self._by_name.get(name)
 
     # -- aggregate costs ----------------------------------------------------
     def total_cost(self, precision: Optional[DataType] = None) -> OpCost:

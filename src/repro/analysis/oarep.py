@@ -193,12 +193,20 @@ class OptimizedAnalyzeRepresentation:
 
     def __init__(self, arep: AnalyzeRepresentation) -> None:
         self.arep = arep
-        #: current units in topological order; fusion replaces slices
-        self.units: List[object] = list(arep.ops)  # AnalyzedOp | FusedOp
         #: backend tensor name -> model tensor name
         self._aliases: Dict[str, str] = {}
         self._unit_of_node: Dict[int, object] = {
             id(op.node): op for op in arep.ops}
+        self._units: Optional[List[object]] = None
+
+    @property
+    def units(self) -> List[object]:
+        """Current units (AnalyzedOp | FusedOp) in topological order; a
+        fused unit sits at its first member's position."""
+        if self._units is None:
+            self._units = list(dict.fromkeys(
+                self._unit_of_node[id(op.node)] for op in self.arep.ops))
+        return self._units
 
     # ------------------------------------------------------------------
     # mapping interfaces (paper Figure 2)
@@ -249,18 +257,19 @@ class OptimizedAnalyzeRepresentation:
         ops = list(ops)
         if not ops:
             raise MappingError("set_fused_op: empty op list")
+        seen: Set[int] = set()
         for op in ops:
             if not isinstance(op, AnalyzedOp):
                 raise MappingError("set_fused_op expects unfused AnalyzedOps")
-            if not any(u is op for u in self.units):
+            if self._unit_of_node.get(id(op.node)) is not op:
                 raise MappingError(f"op {op.name!r} is not an active unit")
+            if id(op) in seen:
+                raise MappingError(f"op {op.name!r} listed twice")
+            seen.add(id(op))
         fused = FusedOp(ops, self, name=name, folded=folded)
-        doomed = {id(op) for op in ops}
-        first = min(i for i, u in enumerate(self.units) if id(u) in doomed)
-        self.units = [u for u in self.units if id(u) not in doomed]
-        self.units.insert(first, fused)
         for op in ops:
             self._unit_of_node[id(op.node)] = fused
+        self._units = None
         return fused
 
     # ------------------------------------------------------------------

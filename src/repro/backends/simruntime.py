@@ -106,6 +106,7 @@ class SimulatedRuntime(Backend):
             for m in g.members:
                 group_of_op[id(m)] = g
         order = {id(g): i for i, g in enumerate(groups)}
+        position = {id(o): i for i, o in enumerate(arep.ops)}
         for g in list(groups):
             if g.kind != GroupKind.NOOP:
                 continue
@@ -136,7 +137,7 @@ class SimulatedRuntime(Backend):
             if target is None:
                 continue  # degenerate graph of only no-ops
             target.members.extend(g.members)
-            target.members.sort(key=lambda o: arep.ops.index(o))
+            target.members.sort(key=lambda o: position[id(o)])
             for m in g.members:
                 group_of_op[id(m)] = target
             groups.remove(g)

@@ -76,6 +76,7 @@ class TensorRTSim(SimulatedRuntime):
             for m in g.members:
                 group_of_op[id(m)] = g
         order = {id(g): i for i, g in enumerate(groups)}
+        position = {id(o): i for i, o in enumerate(arep.ops)}
         for g in list(groups):
             if g.kind != GroupKind.SINGLE or len(g.members) != 1:
                 continue
@@ -97,7 +98,7 @@ class TensorRTSim(SimulatedRuntime):
             if target.kind != GroupKind.MATMUL:
                 continue
             target.members.extend(g.members)
-            target.members.sort(key=lambda o: arep.ops.index(o))
+            target.members.sort(key=lambda o: position[id(o)])
             for m in g.members:
                 group_of_op[id(m)] = target
             groups.remove(g)

@@ -8,7 +8,7 @@ cached; any mutation invalidates the cache.
 """
 from __future__ import annotations
 
-from collections import defaultdict, deque
+from collections import Counter, defaultdict, deque
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -45,6 +45,7 @@ class Graph:
         #: intermediate tensor (inputs/initializers included for convenience)
         self.value_info: Dict[str, TensorInfo] = {}
         self._topo_cache: Optional[List[Node]] = None
+        self._topo_index_cache: Optional[Dict[int, int]] = None
         self._producer_cache: Optional[Dict[str, Node]] = None
         self._consumer_cache: Optional[Dict[str, List[Node]]] = None
         self._fingerprint_cache: Optional[str] = None
@@ -71,6 +72,7 @@ class Graph:
     def invalidate(self) -> None:
         """Drop cached topology after a mutation."""
         self._topo_cache = None
+        self._topo_index_cache = None
         self._producer_cache = None
         self._consumer_cache = None
         self._fingerprint_cache = None
@@ -160,10 +162,10 @@ class Graph:
         indegree: Dict[int, int] = {}
         waiting: Dict[str, List[Node]] = defaultdict(list)
         ready: deque[Node] = deque()
+        # inputs produced by other nodes
+        produced = self.producer_map()
         for node in self.nodes:
             missing = [i for i in node.present_inputs if i not in available]
-            # inputs produced by other nodes
-            produced = set(self.producer_map())
             missing = [m for m in missing if m in produced]
             dangling = [
                 i for i in node.present_inputs
@@ -196,6 +198,13 @@ class Graph:
         self._topo_cache = order
         return order
 
+    def topo_index(self) -> Dict[int, int]:
+        """``id(node)`` -> position in :meth:`toposort` (cached)."""
+        if self._topo_index_cache is None:
+            self._topo_index_cache = {
+                id(n): i for i, n in enumerate(self.toposort())}
+        return self._topo_index_cache
+
     def validate(self) -> None:
         """Structural sanity checks: unique producers, defined tensors,
         acyclicity, outputs actually produced."""
@@ -206,7 +215,7 @@ class Graph:
             if out not in produced:
                 raise GraphError(f"graph output {out!r} is never produced")
         names = [n.name for n in self.nodes if n.name]
-        dupes = {n for n in names if names.count(n) > 1}
+        dupes = {n for n, count in Counter(names).items() if count > 1}
         if dupes:
             raise GraphError(f"duplicate node names: {sorted(dupes)[:5]}")
 
@@ -256,13 +265,14 @@ class Graph:
         Representation's ``get_subgraph_ops_by_io`` (paper §3.3 / Fig. 2).
         """
         producers = self.producer_map()
-        stop = set(input_tensors) | set(self.input_names) | set(self.initializers)
+        graph_inputs = set(self.input_names)
         seen: Set[int] = set()
         result: List[Node] = []
         stack = [t for t in output_tensors]
         while stack:
             tname = stack.pop()
-            if tname in stop:
+            if (tname in input_tensors or tname in self.initializers
+                    or tname in graph_inputs):
                 continue
             node = producers.get(tname)
             if node is None or id(node) in seen:
@@ -271,7 +281,7 @@ class Graph:
             result.append(node)
             for inp in node.present_inputs:
                 stack.append(inp)
-        order_idx = {id(n): i for i, n in enumerate(self.toposort())}
+        order_idx = self.topo_index()
         result.sort(key=lambda n: order_idx[id(n)])
         return result
 

@@ -4,7 +4,9 @@ import pytest
 from repro.analysis.arep import AnalyzeRepresentation
 from repro.analysis.opdefs import OpClass
 from repro.ir.builder import GraphBuilder
-from repro.ir.tensor import DataType
+from repro.ir.graph import Graph
+from repro.ir.node import Node
+from repro.ir.tensor import DataType, TensorInfo
 
 
 def tiny_cnn():
@@ -33,6 +35,16 @@ def test_op_lookup_by_output_and_name():
     assert ar.op_by_output(conv.outputs[0]) is conv
     assert ar.op_by_name("nope") is None
     assert ar.op_by_output("nope") is None
+
+
+def test_op_by_name_returns_first_of_unnamed_ops():
+    # unnamed nodes are looked up by op type; the first in topo order wins
+    g = Graph("relus", inputs=[TensorInfo("x", (1, 4))],
+              outputs=[TensorInfo("z", (1, 4))])
+    g.add_node(Node("Relu", ["y"], ["z"]))
+    g.add_node(Node("Relu", ["x"], ["y"]))
+    ar = AnalyzeRepresentation(g)
+    assert ar.op_by_name("Relu") is ar.op_by_output("y")
 
 
 def test_total_cost_is_sum_of_ops():

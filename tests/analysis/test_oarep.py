@@ -1,5 +1,6 @@
 """Optimized Analyze Representation and _FusedOp tests (paper §3.2.3,
 §3.3 / Figure 2)."""
+import numpy as np
 import pytest
 
 from repro.analysis.arep import AnalyzeRepresentation
@@ -8,6 +9,7 @@ from repro.analysis.oarep import (FusedOp, MappingError,
 from repro.analysis.opdefs import OpClass
 from repro.ir.builder import GraphBuilder
 from repro.ir.tensor import DataType
+from repro.models.registry import build_model
 
 
 def conv_block():
@@ -177,3 +179,74 @@ class TestFusedOp:
         ops = oar.get_subgraph_ops_by_io([t["x"]], [t["r1"]])
         oar.set_fused_op(ops, folded=["bn1"])
         assert oar.total_cost().memory_bytes < unfused_mem
+
+
+class TestUnitOrder:
+    """``units`` is rebuilt from the node -> unit map; it must keep the
+    order the original slice-replace bookkeeping produced."""
+
+    @staticmethod
+    def slice_replace(units, ops, fused):
+        doomed = {id(op) for op in ops}
+        first = min(i for i, u in enumerate(units) if id(u) in doomed)
+        units = [u for u in units if id(u) not in doomed]
+        units.insert(first, fused)
+        return units
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_units_match_slice_replace_order(self, seed):
+        ar = AnalyzeRepresentation(build_model("mobilenetv2-05"),
+                                   DataType.FLOAT16)
+        oar = OptimizedAnalyzeRepresentation(ar)
+        expected = list(ar.ops)
+        rng = np.random.default_rng(seed)
+        perm = rng.permutation(len(ar.ops))
+        groups, i = [], 0
+        while i < len(perm):
+            size = int(rng.integers(1, 5))
+            groups.append([ar.ops[j] for j in perm[i:i + size]])
+            i += size
+        for group in groups:
+            if len(group) < 2:
+                continue
+            fused = oar.set_fused_op(group)
+            expected = self.slice_replace(expected, group, fused)
+            assert [id(u) for u in oar.units] == [id(u) for u in expected]
+        assert len(oar) == len(expected)
+
+    def test_units_cached_between_fusions(self):
+        oar, ar, t = fresh_oar()
+        units = oar.units
+        assert oar.units is units
+        oar.set_fused_op(oar.get_subgraph_ops_by_io([t["x"]], [t["r1"]]))
+        assert oar.units is not units
+
+
+class TestFusionErrors:
+    def test_op_of_other_representation_is_inactive(self):
+        oar, ar, t = fresh_oar()
+        _, other, _ = fresh_oar()
+        with pytest.raises(MappingError, match="not an active unit"):
+            oar.set_fused_op(other.ops[:2])
+
+    def test_already_fused_op_rejected(self):
+        oar, ar, t = fresh_oar()
+        ops = oar.get_subgraph_ops_by_io([t["x"]], [t["r1"]])
+        oar.set_fused_op(ops[:2])
+        with pytest.raises(MappingError, match="not an active unit"):
+            oar.set_fused_op(ops[1:])
+
+    def test_fused_unit_rejected_as_member(self):
+        oar, ar, t = fresh_oar()
+        ops = oar.get_subgraph_ops_by_io([t["x"]], [t["r1"]])
+        fused = oar.set_fused_op(ops)
+        with pytest.raises(MappingError, match="unfused"):
+            oar.set_fused_op([fused, ar.op_by_output(t["c2"])])
+
+    def test_duplicate_op_rejected(self):
+        oar, ar, t = fresh_oar()
+        ops = oar.get_subgraph_ops_by_io([t["x"]], [t["r1"]])
+        before = list(oar.units)
+        with pytest.raises(MappingError, match="listed twice"):
+            oar.set_fused_op(ops + ops[:1])
+        assert oar.units == before

@@ -1,0 +1,26 @@
+"""Oracle smoke for the profile path: a short ``profile-cold`` perfbench run.
+
+``perfbench/run.py`` exits 0 whatever its operations did, so this test
+reads the result line it prints last and requires every profile to
+have matched its oracle ``report_digest`` (``correct``) with none
+failed.  Timing is not checked.
+"""
+import json
+import os
+import subprocess
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def test_profile_cold_matches_oracle():
+    proc = subprocess.run(
+        [sys.executable, os.path.join("perfbench", "run.py"),
+         "--workload", "profile-cold", "--seed", "1", "--seconds", "2",
+         "--trace", "0"],
+        cwd=ROOT, capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["attempted"] > 0, result
+    assert result["correct"] is True, result
+    assert result["failed"] == 0, result

@@ -27,17 +27,24 @@ class AnalyzedOp:
     (``rep.layer_store``), cost and class predictions resolve through
     the store's cross-model records, keyed by this op's name-free
     :meth:`layer_fingerprint` — recomputation happens only for layer
-    shapes never analysed before, in any graph.
+    shapes never analysed before, in any graph.  The class and the cost
+    at the representation's precision are also kept on the op itself,
+    so the store is consulted once per op per kind; other precisions
+    still go through the store.
     """
 
-    def __init__(self, node: Node, rep: "AnalyzeRepresentation") -> None:
+    __slots__ = ("node", "name", "_rep", "_layer_fp", "_class", "_cost")
+
+    def __init__(self, node: Node, rep: "AnalyzeRepresentation",
+                 name: str) -> None:
         self.node = node
+        #: the node's name, or a unique ``<op_type>#<topo index>``
+        #: fallback for an unnamed node (assigned by the representation)
+        self.name = name
         self._rep = rep
         self._layer_fp: Optional[str] = None
-
-    @property
-    def name(self) -> str:
-        return self.node.name or self.node.op_type
+        self._class: Optional[OpClass] = None
+        self._cost: Optional[OpCost] = None
 
     @property
     def op_type(self) -> str:
@@ -55,6 +62,10 @@ class AnalyzedOp:
     def member_nodes(self) -> List[Node]:
         """Uniform accessor shared with ``_FusedOp`` (single member here)."""
         return [self.node]
+
+    @property
+    def member_names(self) -> List[str]:
+        return [self.name]
 
     def layer_fingerprint(self) -> str:
         """Name-free structural fingerprint (memoized; see
@@ -75,24 +86,47 @@ class AnalyzedOp:
         return cost_of(self.node, self._rep.tensor, precision)
 
     def op_class(self) -> OpClass:
-        store = self._rep.layer_store
-        if store is None:
-            return self.compute_class()
-        return store.record(("class", self.layer_fingerprint()),
-                            self.compute_class)
+        if self._class is None:
+            self._class = stored_class(self, self._rep)
+        return self._class
 
     def cost(self, precision: Optional[DataType] = None) -> OpCost:
-        precision = precision or self._rep.precision
-        store = self._rep.layer_store
-        if store is None:
-            return self.compute_cost(precision)
-        return store.record(
-            ("cost", self.layer_fingerprint(),
-             getattr(precision, "value", precision)),
-            lambda: self.compute_cost(precision))
+        return stored_cost(self, self._rep, precision)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"AnalyzedOp({self.name!r}, {self.op_type})"
+
+
+def stored_class(unit, arep: "AnalyzeRepresentation") -> OpClass:
+    """``unit.compute_class()`` through ``arep``'s layer store, when it
+    has one (shared by :class:`AnalyzedOp` and ``FusedOp``)."""
+    store = arep.layer_store
+    if store is None:
+        return unit.compute_class()
+    return store.record(("class", unit.layer_fingerprint()),
+                        unit.compute_class)
+
+
+def stored_cost(unit, arep: "AnalyzeRepresentation",
+                precision: Optional[DataType]) -> OpCost:
+    """``unit.compute_cost(precision)`` through ``arep``'s layer store;
+    the cost at ``arep``'s own precision is kept in ``unit._cost``."""
+    own = precision is None or precision == arep.precision
+    if own:
+        if unit._cost is not None:
+            return unit._cost
+        precision = arep.precision
+    store = arep.layer_store
+    if store is None:
+        cost = unit.compute_cost(precision)
+    else:
+        cost = store.record(
+            ("cost", unit.layer_fingerprint(),
+             getattr(precision, "value", precision)),
+            lambda: unit.compute_cost(precision))
+    if own:
+        unit._cost = cost
+    return cost
 
 
 class ModelStats:
@@ -119,6 +153,16 @@ class ModelStats:
                 f"params={self.params_m:.1f}M, gflop={self.gflop:.3f})")
 
 
+def _fallback_name(node: Node, index: int, taken: set) -> str:
+    """Deterministic name for an unnamed node: ``<op_type>#<topo
+    index>``, suffixed until it collides with no other op name."""
+    name = f"{node.op_type}#{index}"
+    while name in taken:
+        name += "'"
+    taken.add(name)
+    return name
+
+
 class AnalyzeRepresentation:
     """The model as a set of operator objects plus tensor information."""
 
@@ -128,16 +172,30 @@ class AnalyzeRepresentation:
         self.graph = graph
         self.precision = precision
         #: optional :class:`repro.analysis.layerstore.LayerStore` — set
-        #: by the analysis cache (or a backend compile) to share per-op
-        #: cost/class records across models and sweep configs
+        #: by the analysis cache to share per-op cost/class records (and,
+        #: through the backend compile that is handed this AR, latency
+        #: records) across models and sweep configs
         self.layer_store = None
-        self.ops: List[AnalyzedOp] = [AnalyzedOp(n, self) for n in graph.toposort()]
+        #: graph output names, for the "does this tensor escape" checks
+        #: of fusion planning and fused-op io
+        self.graph_outputs = frozenset(graph.output_names)
+        nodes = graph.toposort()
+        taken = {n.name for n in nodes if n.name}
+        self.ops: List[AnalyzedOp] = []
         self._by_output: Dict[str, AnalyzedOp] = {}
         self._by_name: Dict[str, AnalyzedOp] = {}
-        for op in self.ops:
-            for out in op.outputs:
+        for index, node in enumerate(nodes):
+            op = AnalyzedOp(node, self, node.name
+                            or _fallback_name(node, index, taken))
+            self.ops.append(op)
+            for out in node.outputs:
                 self._by_output[out] = op
             self._by_name.setdefault(op.name, op)
+        # an unnamed op is also found by its op type (first in topo
+        # order wins), unless a real or fallback name already took it
+        for op in self.ops:
+            if not op.node.name:
+                self._by_name.setdefault(op.op_type, op)
 
     # -- tensor info -------------------------------------------------------
     def tensor(self, name: str) -> TensorInfo:

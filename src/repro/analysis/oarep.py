@@ -15,7 +15,8 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tupl
 from ..ir.fingerprint import group_fingerprint
 from ..ir.node import Node
 from ..ir.tensor import DataType, TensorInfo
-from .arep import AnalyzedOp, AnalyzeRepresentation
+from .arep import (AnalyzedOp, AnalyzeRepresentation, stored_class,
+                   stored_cost)
 from .opdefs import OpClass, OpCost, OpView, operator_def
 
 __all__ = ["FusedOp", "OptimizedAnalyzeRepresentation", "MappingError"]
@@ -37,6 +38,9 @@ class FusedOp:
     the members' weights) touch DRAM.
     """
 
+    __slots__ = ("members", "_rep", "name", "folded", "_io", "_layer_fp",
+                 "_class", "_cost")
+
     def __init__(self, members: Sequence[AnalyzedOp], rep: "OptimizedAnalyzeRepresentation",
                  name: str = "", folded: Iterable[str] = ()) -> None:
         if not members:
@@ -48,30 +52,25 @@ class FusedOp:
         self.folded: Set[str] = set(folded)
         self._io = self._compute_io()
         self._layer_fp: Optional[str] = None
+        #: class, and cost at the AR's precision (see ``AnalyzedOp``)
+        self._class: Optional[OpClass] = None
+        self._cost: Optional[OpCost] = None
 
     def _compute_io(self) -> Tuple[List[str], List[str]]:
-        produced: Set[str] = set()
-        consumed: Set[str] = set()
-        for m in self.members:
-            produced.update(m.outputs)
-            consumed.update(m.inputs)
-        graph = self._rep.arep.graph
-        ext_inputs: List[str] = []
-        for m in self.members:
-            for t in m.inputs:
-                if t not in produced and t not in ext_inputs:
-                    ext_inputs.append(t)
-        graph_consumers = graph.consumer_map()
-        graph_outputs = set(graph.output_names)
-        ext_outputs: List[str] = []
-        member_ids = {id(m.node) for m in self.members}
-        for m in self.members:
-            for t in m.outputs:
-                escapes = t in graph_outputs or any(
-                    id(c) not in member_ids for c in graph_consumers.get(t, []))
-                if escapes and t not in ext_outputs:
-                    ext_outputs.append(t)
-        return ext_inputs, ext_outputs
+        nodes = [m.node for m in self.members]
+        produced = {t for n in nodes for t in n.outputs}
+        # dicts keep first-appearance order: member order, then slot order
+        ext_inputs = dict.fromkeys(
+            t for n in nodes for t in n.inputs if t and t not in produced)
+        arep = self._rep.arep
+        graph_outputs = arep.graph_outputs
+        graph_consumers = arep.graph.consumer_map()
+        member_ids = {id(n) for n in nodes}
+        ext_outputs = dict.fromkeys(
+            t for n in nodes for t in n.outputs
+            if t in graph_outputs or any(
+                id(c) not in member_ids for c in graph_consumers.get(t, ())))
+        return list(ext_inputs), list(ext_outputs)
 
     # -- AnalyzedOp-compatible interface ------------------------------------
     @property
@@ -95,27 +94,25 @@ class FusedOp:
         return [m.name for m in self.members]
 
     def layer_fingerprint(self) -> str:
-        """Name-free group fingerprint (memoized): member op types,
-        attrs, shapes, dtypes and internal wiring in member order, plus
-        boundary outputs and fold markers — everything
-        :meth:`cost`/:meth:`op_class` read, so equal fingerprints imply
-        bit-identical records (see
+        """Name-free group fingerprint (memoized), composed from the
+        members' memoized node fingerprints in member order, the
+        internal wiring, the boundary outputs and the fold markers —
+        everything :meth:`cost`/:meth:`op_class` read, so equal
+        fingerprints imply bit-identical records (see
         :func:`repro.ir.fingerprint.group_fingerprint`)."""
         if self._layer_fp is None:
-            arep = self._rep.arep
             self._layer_fp = group_fingerprint(
-                [m.node for m in self.members], arep.tensor,
-                arep.graph.initializers, self._io[1],
-                [i for i, m in enumerate(self.members)
-                 if m.name in self.folded])
+                [m.node for m in self.members],
+                external_outputs=self._io[1],
+                folded_indices=[i for i, m in enumerate(self.members)
+                                if m.name in self.folded],
+                node_fps=[m.layer_fingerprint() for m in self.members])
         return self._layer_fp
 
     def op_class(self) -> OpClass:
-        store = self._rep.arep.layer_store
-        if store is None:
-            return self.compute_class()
-        return store.record(("class", self.layer_fingerprint()),
-                            self.compute_class)
+        if self._class is None:
+            self._class = stored_class(self, self._rep.arep)
+        return self._class
 
     def compute_class(self) -> OpClass:
         """Dominant class: the member with the highest FLOP wins; pure
@@ -139,14 +136,7 @@ class FusedOp:
         return klass
 
     def cost(self, precision: Optional[DataType] = None) -> OpCost:
-        precision = precision or self._rep.arep.precision
-        store = self._rep.arep.layer_store
-        if store is None:
-            return self.compute_cost(precision)
-        return store.record(
-            ("cost", self.layer_fingerprint(),
-             getattr(precision, "value", precision)),
-            lambda: self.compute_cost(precision))
+        return stored_cost(self, self._rep.arep, precision)
 
     def compute_cost(self, precision: DataType) -> OpCost:
         """Raw (uncached) fused-cost computation at ``precision``."""

@@ -163,10 +163,6 @@ class Backend(abc.ABC):
     #: short identifier, e.g. ``"trt-sim"``
     name: str = "backend"
 
-    #: whether :meth:`compile` accepts a ``layer_store=`` keyword (the
-    #: cross-model record store; see :mod:`repro.analysis.layerstore`)
-    supports_layer_store: bool = False
-
     #: whether the compiled layer *structure* (fusion plan, layer list,
     #: mapping hints) is independent of precision — precision then only
     #: affects per-layer latencies and ``check_supported``, which is
@@ -176,11 +172,17 @@ class Backend(abc.ABC):
 
     @abc.abstractmethod
     def compile(self, graph: Graph, spec: HardwareSpec,
-                precision: DataType = DataType.FLOAT16) -> BackendModel:
+                precision: DataType = DataType.FLOAT16,
+                arep: Optional[AnalyzeRepresentation] = None
+                ) -> BackendModel:
         """Optimize the model for ``spec`` and profile per-layer latency.
 
-        Raises :class:`UnsupportedModelError` when the runtime cannot
-        handle the model (platform op-support limits).
+        ``arep`` is the caller's Analyze Representation of ``graph``;
+        the backend plans and times over it (and its layer store, if
+        any) instead of building its own, so one profile analyses each
+        layer once.  Raises :class:`BackendError` when ``arep`` belongs
+        to another graph, and :class:`UnsupportedModelError` when the
+        runtime cannot handle the model (platform op-support limits).
         """
 
     # ------------------------------------------------------------------
@@ -205,10 +207,10 @@ class Backend(abc.ABC):
         store = getattr(arep, "layer_store", None)
         spec_key = spec_cache_key(model.spec) if store is not None else ""
         prec = model.precision.value
-        units_by_first_member: Dict[str, object] = {}
-        for unit in truth.units:
-            first = unit.member_nodes[0].name
-            units_by_first_member[first] = unit
+        # layers name members by AnalyzedOp.name (unique per AR, with a
+        # fallback for unnamed nodes), so truth units are keyed by it too
+        units_by_first_member: Dict[str, object] = {
+            unit.member_names[0]: unit for unit in truth.units}
         truth_aligned: List[object] = []
         for layer in model.layers:
             if layer.is_reformat:

@@ -124,7 +124,7 @@ class FusionPlanner:
     def _sole_consumer(self, tensor: str) -> Optional[AnalyzedOp]:
         """The unique consuming op of a tensor (None for 0 or >1, or
         when the tensor is also a graph output)."""
-        if tensor in set(self.graph.output_names):
+        if tensor in self.arep.graph_outputs:
             return None
         consumers = self.graph.consumers(tensor)
         if len(consumers) != 1:
@@ -178,7 +178,7 @@ class FusionPlanner:
         out = cursor.outputs[0]
         consumers = self.graph.consumers(out)
         # SiLU = Mul(x, Sigmoid(x)): x has exactly the two consumers
-        if len(consumers) == 2 and out not in set(self.graph.output_names):
+        if len(consumers) == 2 and out not in self.arep.graph_outputs:
             ops = [self.arep.op_by_output(c.outputs[0]) for c in consumers]
             types = sorted(o.op_type for o in ops if o)
             if types == ["Mul", "Sigmoid"] and all(self._free(o) for o in ops):

@@ -29,8 +29,6 @@ class SimulatedRuntime(Backend):
     #: op types this runtime cannot compile, per platform name (or "*")
     unsupported_ops: Dict[str, frozenset] = {}
 
-    supports_layer_store = True
-
     #: fusion planning and layer building read only shapes/op types —
     #: precision feeds :meth:`check_supported` and the latency model
     structure_precision_invariant = True
@@ -41,14 +39,19 @@ class SimulatedRuntime(Backend):
     # ------------------------------------------------------------------
     def compile(self, graph: Graph, spec: HardwareSpec,
                 precision: DataType = DataType.FLOAT16,
-                layer_store=None) -> BackendModel:
+                arep: Optional[AnalyzeRepresentation] = None
+                ) -> BackendModel:
+        if arep is not None and arep.graph is not graph:
+            raise BackendError(
+                f"{self.name}: the analyze representation is of graph "
+                f"{arep.graph.name!r}, not of the graph being compiled")
         if not graph.value_info:
             infer_shapes(graph)
         self.check_supported(graph, spec, precision)
-        arep = AnalyzeRepresentation(graph, precision)
-        #: wiring the store in *before* planning lets fusion heuristics'
-        #: op_class lookups and the truth timing pass share records
-        arep.layer_store = layer_store
+        if arep is None:
+            arep = AnalyzeRepresentation(graph, precision)
+        # fusion heuristics' op_class lookups, the truth units and the
+        # caller's layer mapping all share the AR's per-op memos
         planner = FusionPlanner(arep, self.fusion_config(spec))
         groups = self.postprocess_groups(planner.plan(), arep)
         truth = OptimizedAnalyzeRepresentation(arep)
@@ -105,9 +108,9 @@ class SimulatedRuntime(Backend):
         for g in groups:
             for m in g.members:
                 group_of_op[id(m)] = g
-        order = {id(g): i for i, g in enumerate(groups)}
         position = {id(o): i for i, o in enumerate(arep.ops)}
-        for g in list(groups):
+        absorbed = set()
+        for g in groups:
             if g.kind != GroupKind.NOOP:
                 continue
             target: Optional[FusionGroup] = None
@@ -140,9 +143,9 @@ class SimulatedRuntime(Backend):
             target.members.sort(key=lambda o: position[id(o)])
             for m in g.members:
                 group_of_op[id(m)] = target
-            groups.remove(g)
-        groups.sort(key=lambda g: order[id(g)])
-        return groups
+            absorbed.add(id(g))
+        # by identity: FusionGroup equality would compare field by field
+        return [g for g in groups if id(g) not in absorbed]
 
     @staticmethod
     def _unit_io(unit: object) -> Tuple[List[str], List[str]]:

@@ -75,9 +75,10 @@ class TensorRTSim(SimulatedRuntime):
         for g in groups:
             for m in g.members:
                 group_of_op[id(m)] = g
-        order = {id(g): i for i, g in enumerate(groups)}
+        group_by_id = {id(g): g for g in groups}
         position = {id(o): i for i, o in enumerate(arep.ops)}
-        for g in list(groups):
+        absorbed = set()
+        for g in groups:
             if g.kind != GroupKind.SINGLE or len(g.members) != 1:
                 continue
             op = g.members[0]
@@ -85,7 +86,7 @@ class TensorRTSim(SimulatedRuntime):
                 continue
             consumer_groups = set()
             for t in op.outputs:
-                if t in set(graph.output_names):
+                if t in arep.graph_outputs:
                     consumer_groups.add(None)
                 for node in graph.consumers(t):
                     cop = arep.op_by_output(node.outputs[0])
@@ -93,17 +94,16 @@ class TensorRTSim(SimulatedRuntime):
                         id(group_of_op[id(cop)]) if cop else None)
             if len(consumer_groups) != 1 or None in consumer_groups:
                 continue
-            target = next(grp for grp in groups
-                          if id(grp) in consumer_groups)
+            target = group_by_id[consumer_groups.pop()]
             if target.kind != GroupKind.MATMUL:
                 continue
             target.members.extend(g.members)
             target.members.sort(key=lambda o: position[id(o)])
             for m in g.members:
                 group_of_op[id(m)] = target
-            groups.remove(g)
-        groups.sort(key=lambda g: order[id(g)])
-        return groups
+            absorbed.add(id(g))
+        # by identity: FusionGroup equality would compare field by field
+        return [g for g in groups if id(g) not in absorbed]
 
     # ------------------------------------------------------------------
     def build_layers(self, groups: Sequence[FusionGroup],
@@ -123,7 +123,6 @@ class TensorRTSim(SimulatedRuntime):
                 outputs=[reformatted],
                 true_alias=(t.name, reformatted),
             ))
-        graph_outputs = set(arep.graph.output_names)
         for group, unit in zip(groups, units):
             inputs, outputs = self._unit_io(unit)
             inputs = [aliases.get(t, t) for t in inputs]

@@ -2,9 +2,10 @@
 
 ``Profiler.profile`` runs the full backend workflow:
 
-1. compile the model with the chosen backend (simulated runtime) and
-   read per-backend-layer latencies from its built-in profiler;
-2. build the Analyze Representation and run **layer mapping** to
+1. build the Analyze Representation, compile the model over it with
+   the chosen backend (simulated runtime) and read per-backend-layer
+   latencies from its built-in profiler;
+2. run **layer mapping** over the same Analyze Representation to
    transform an Optimized Analyze Representation into the backend's
    fused layer structure (§3.3, Figure 2);
 3. attach per-layer FLOP and memory bytes — either **predicted** by the
@@ -138,16 +139,6 @@ class Profiler:
     def _spec_key(self) -> str:
         return spec_cache_key(self.spec)
 
-    def _compile(self, graph: Graph):
-        """Backend compile, handing the layer store to backends that
-        take one (per-layer truth latencies then memoize cross-model)."""
-        cache = self.analysis_cache
-        if cache is not None and cache.layer_store is not None \
-                and getattr(self.backend, "supports_layer_store", False):
-            return self.backend.compile(graph, self.spec, self.precision,
-                                        layer_store=cache.layer_store)
-        return self.backend.compile(graph, self.spec, self.precision)
-
     def _mapped_entry(self, graph: Graph, tracer=None,
                       stages: Optional[Dict[str, float]] = None
                       ) -> MappedEntry:
@@ -159,9 +150,14 @@ class Profiler:
 
         def build(arep: AnalyzeRepresentation) -> MappedEntry:
             built.append(True)
+            # compile and mapping share one AR, so each layer is
+            # fingerprinted, classified and costed once per profile.  A
+            # cached AR may sit on an equal-fingerprint sibling of
+            # ``graph``; the backend compiles the AR's own graph
             with _stage(tracer, stages, "compile",
                         backend=self.backend.name):
-                compiled = self._compile(graph)
+                compiled = self.backend.compile(
+                    arep.graph, self.spec, self.precision, arep=arep)
             with _stage(tracer, stages, "oar"):
                 oar = OptimizedAnalyzeRepresentation(arep)
             with _stage(tracer, stages, "mapping",
@@ -184,19 +180,9 @@ class Profiler:
             with _stage(tracer, stages, "shape_inference"):
                 if not graph.value_info:
                     infer_shapes(graph)
-            with _stage(tracer, stages, "compile",
-                        backend=self.backend.name):
-                compiled = self.backend.compile(graph, self.spec,
-                                                self.precision)
             with _stage(tracer, stages, "arep"):
                 arep = AnalyzeRepresentation(graph, self.precision)
-            with _stage(tracer, stages, "oar"):
-                oar = OptimizedAnalyzeRepresentation(arep)
-            with _stage(tracer, stages, "mapping",
-                        backend_layers=len(compiled.layers)):
-                mapped = map_layers(compiled, oar)
-            return MappedEntry(compiled=compiled, arep=arep, oar=oar,
-                               mapped=mapped)
+            return build(arep)
         # fetch (or build) the AR under its own span, then the mapped
         # tier; the arep tier is memoized, so this adds one lookup, not
         # a second construction

@@ -30,6 +30,18 @@ anything that can change an analysis result (an attribute, a dtype, a
 shape, which inputs are initializers, fold markers, the member order a
 fused cost sums over, internal-vs-boundary wiring) is part of the hash,
 so equal fingerprints imply bit-identical analysis.
+
+Layer fingerprints are in-process keys, hashed once per layer on every
+cold profile, so they skip JSON: a node document is a tuple (op type,
+sorted attributes, ``(shape, dtype)`` plus initializer-ness per input,
+``(shape, dtype)`` per output) hashed as
+``sha256(repr((LAYER_FINGERPRINT_VERSION, doc)))``.  They are also
+*compositional*: a group fingerprint hashes its members' node
+fingerprints (which :class:`~repro.analysis.arep.AnalyzedOp` memoizes)
+together with the group's local wiring ids, external outputs and fold
+markers, so fusing a group never re-reads its member tensors.
+``graph_fingerprint`` keeps its canonical JSON document: request keys
+and fleet routing are derived from it, so its bytes must not change.
 """
 from __future__ import annotations
 
@@ -37,7 +49,7 @@ import hashlib
 import heapq
 import json
 from collections import defaultdict
-from typing import Any, Dict, List, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -55,7 +67,7 @@ FINGERPRINT_VERSION = 1
 
 #: separate version for the layer-granular (node/group/tensor)
 #: fingerprints — bump when *their* canonical layout changes
-LAYER_FINGERPRINT_VERSION = 1
+LAYER_FINGERPRINT_VERSION = 2
 
 
 def array_digest(a: np.ndarray) -> str:
@@ -63,7 +75,7 @@ def array_digest(a: np.ndarray) -> str:
     h = hashlib.sha256()
     h.update(str(a.dtype).encode("ascii"))
     h.update(repr(tuple(a.shape)).encode("ascii"))
-    h.update(np.ascontiguousarray(a).tobytes())
+    h.update(a.data if a.flags.c_contiguous else a.tobytes())
     return h.hexdigest()
 
 
@@ -97,7 +109,8 @@ def _canonical_order(graph: Graph) -> List[Node]:
         for m in missing:
             dependents[m].append(node)
         if not missing:
-            heapq.heappush(ready, (_node_key(node), id(node), node))
+            ready.append((_node_key(node), id(node), node))
+    heapq.heapify(ready)
     order: List[Node] = []
     while ready:
         _, _, node = heapq.heappop(ready)
@@ -154,41 +167,46 @@ def graph_fingerprint(graph: Graph) -> str:
 # layer-granular fingerprints (the cross-model layer-store keys)
 # ----------------------------------------------------------------------
 def _layer_digest(doc: Any) -> str:
-    return hashlib.sha256(_canonical_bytes(
-        [LAYER_FINGERPRINT_VERSION, doc])).hexdigest()
+    return hashlib.sha256(repr((LAYER_FINGERPRINT_VERSION, doc))
+                          .encode("utf-8")).hexdigest()
 
 
-def _node_doc(node: Node, info_fn: Any, initializers: Any,
-              local_ids: Any = None) -> List[Any]:
+def _attr_value(v: Any) -> Any:
+    """Hashable form of one attribute value (a scalar, a flat list of
+    scalars or an array; see :mod:`repro.ir.node`).  Lists and tuples
+    hash alike, as in JSON; an array hashes as its digest in ``bytes``,
+    a type no attribute value has."""
+    if isinstance(v, np.ndarray):
+        return array_digest(v).encode("ascii")
+    if isinstance(v, (list, tuple)):
+        return tuple(v)
+    return v
+
+
+def _tensor_doc(name: str, info_fn: Any) -> Any:
+    try:
+        info = info_fn(name)
+    except Exception:
+        # no shape info (exotic optional input the cost model never
+        # reads) — hash an explicit unknown marker, not the name
+        return "?"
+    return (info.shape, info.dtype.value)
+
+
+def _node_doc(node: Node, info_fn: Any, initializers: Any) -> Tuple:
     """Name-free canonical document for one node.
 
-    Tensor identity is reduced to ``[shape, dtype, is-initializer]``
-    plus — when ``local_ids`` is given (group mode) — a *local* id
-    assigned by first appearance, which encodes the group's internal
-    wiring without leaking graph-wide names.  Empty optional input
-    slots stay ``None`` so positional semantics survive.
+    Tensor identity is reduced to ``(shape, dtype)`` — plus
+    initializer-ness for inputs.  Empty optional input slots stay
+    ``None`` so positional semantics survive.
     """
-
-    def tensor_entry(name: str, with_init: bool) -> Any:
-        try:
-            info = info_fn(name)
-            entry: List[Any] = [list(info.shape), info.dtype.value]
-        except Exception:
-            # no shape info (exotic optional input the cost model never
-            # reads) — hash an explicit unknown marker, not the name
-            entry = ["?"]
-        if with_init:
-            entry.append(bool(name in initializers))
-        if local_ids is not None:
-            entry.append(local_ids.setdefault(name, len(local_ids)))
-        return entry
-
-    return [
+    return (
         node.op_type,
-        {k: _attr_doc(v) for k, v in node.attrs.items()},
-        [tensor_entry(t, True) if t else None for t in node.inputs],
-        [tensor_entry(t, False) for t in node.outputs],
-    ]
+        tuple(sorted((k, _attr_value(v)) for k, v in node.attrs.items())),
+        tuple((_tensor_doc(t, info_fn), t in initializers) if t else None
+              for t in node.inputs),
+        tuple(_tensor_doc(t, info_fn) for t in node.outputs),
+    )
 
 
 def node_fingerprint(node: Node, info_fn: Any,
@@ -203,35 +221,48 @@ def node_fingerprint(node: Node, info_fn: Any,
     the same model rebuilt under different naming — share fingerprints,
     while any attribute/shape/dtype difference never collides.
     """
-    return _layer_digest(["node", _node_doc(node, info_fn, initializers)])
+    return _layer_digest(("node", _node_doc(node, info_fn, initializers)))
 
 
-def group_fingerprint(nodes: List[Node], info_fn: Any,
+def group_fingerprint(nodes: Sequence[Node], info_fn: Any = None,
                       initializers: Any = (),
                       external_outputs: Any = (),
-                      folded_indices: Any = ()) -> str:
+                      folded_indices: Any = (),
+                      node_fps: Optional[Sequence[str]] = None) -> str:
     """Canonical fingerprint of a fused group of nodes.
 
-    Covers every member's :func:`node_fingerprint` content *in member
-    order* (a fused cost sums floats in that order, so order is part of
-    identity), the internal wiring via local tensor ids, which member
-    outputs escape the group (``external_outputs``, the boundary tensors
-    whose bytes touch DRAM) and which members the backend folded away
-    (``folded_indices``, by member position).  Equal group fingerprints
-    therefore imply bit-identical fused cost/class/latency analysis.
+    Composes every member's :func:`node_fingerprint` *in member order*
+    (a fused cost sums floats in that order, so order is part of
+    identity) with the internal wiring as local tensor ids assigned by
+    first appearance, which member outputs escape the group
+    (``external_outputs``, the boundary tensors whose bytes touch DRAM)
+    and which members the backend folded away (``folded_indices``, by
+    member position).  Equal group fingerprints therefore imply
+    bit-identical fused cost/class/latency analysis.
+
+    ``node_fps`` passes the members' already-computed node
+    fingerprints; without it they are computed from ``info_fn`` and
+    ``initializers``.
     """
+    if node_fps is None:
+        node_fps = [node_fingerprint(n, info_fn, initializers)
+                    for n in nodes]
     local_ids: Dict[str, int] = {}
-    members = [_node_doc(n, info_fn, initializers, local_ids)
-               for n in nodes]
-    ext_out = [local_ids[t] for t in external_outputs if t in local_ids]
-    return _layer_digest(["group", members, ext_out,
-                          sorted(int(i) for i in folded_indices)])
+    wiring = tuple(
+        (tuple(local_ids.setdefault(t, len(local_ids)) if t else None
+               for t in n.inputs),
+         tuple(local_ids.setdefault(t, len(local_ids)) for t in n.outputs))
+        for n in nodes)
+    ext_out = tuple(local_ids[t] for t in external_outputs
+                    if t in local_ids)
+    return _layer_digest(("group", tuple(node_fps), wiring, ext_out,
+                          tuple(sorted(int(i) for i in folded_indices))))
 
 
 def tensor_fingerprint(info: TensorInfo) -> str:
     """Canonical fingerprint of one tensor's shape + dtype (name-free):
     the identity of a runtime-inserted reformat/conversion copy."""
-    return _layer_digest(["tensor", list(info.shape), info.dtype.value])
+    return _layer_digest(("tensor", info.shape, info.dtype.value))
 
 
 def report_digest(report: Any) -> str:

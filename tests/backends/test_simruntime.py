@@ -2,6 +2,7 @@
 import pytest
 
 from repro.analysis.arep import AnalyzeRepresentation
+from repro.analysis.oarep import FusedOp
 from repro.backends import TensorRTSim
 from repro.backends.optimizer import FusionConfig, FusionPlanner, GroupKind
 from repro.backends.simruntime import SimulatedRuntime
@@ -48,6 +49,38 @@ def test_compile_runs_shape_inference_if_needed():
     g.value_info = {}   # as if freshly deserialized
     model = TensorRTSim().compile(g, A100, DataType.FLOAT16)
     assert model.total_latency_seconds > 0
+
+
+def _conv_graph():
+    b = GraphBuilder("g")
+    x = b.input("x", (1, 3, 8, 8))
+    y = b.relu(b.conv(x, 4, 3, padding=1))
+    return b.finish(y)
+
+
+def test_compile_times_over_the_given_analyze_representation():
+    g = _conv_graph()
+    arep = AnalyzeRepresentation(g, DataType.FLOAT16)
+    model = TensorRTSim().compile(g, A100, DataType.FLOAT16, arep=arep)
+    members = set()
+    for unit in model.truth_units:
+        if isinstance(unit, FusedOp):
+            members.update(id(m) for m in unit.members)
+        elif not isinstance(unit, tuple):          # ("reformat", info)
+            members.add(id(unit))
+    assert members == {id(op) for op in arep.ops}
+    # same latencies as a compile that builds its own AR
+    own = TensorRTSim().compile(_conv_graph(), A100, DataType.FLOAT16)
+    assert [l.latency_seconds for l in model.layers] == \
+        [l.latency_seconds for l in own.layers]
+
+
+def test_compile_rejects_an_analyze_representation_of_another_graph():
+    from repro.backends.base import BackendError
+    arep = AnalyzeRepresentation(_conv_graph(), DataType.FLOAT16)
+    with pytest.raises(BackendError, match="analyze representation"):
+        TensorRTSim().compile(_conv_graph(), A100, DataType.FLOAT16,
+                              arep=arep)
 
 
 def test_latencies_deterministic():

@@ -6,11 +6,20 @@ made a cold profile O(layers x nodes).  These tests count how often the
 three whole-graph structures are built during one cold
 ``Profiler.profile`` and require the count not to grow with the number
 of backend layers.
+
+Backend compile also used to build a second Analyze Representation, so
+every node was fingerprinted twice and fused groups re-read their
+members' tensors; the per-layer counters below pin one AR per profile,
+at most one node fingerprint per node, and group fingerprints composed
+from the members' memoized ones.
 """
 from collections import Counter
 
 import pytest
 
+import repro.analysis.oarep as oarep_module
+import repro.ir.fingerprint as fingerprint_module
+from repro.analysis.arep import AnalyzeRepresentation
 from repro.analysis.cache import AnalysisCache
 from repro.analysis.oarep import OptimizedAnalyzeRepresentation
 from repro.core.profiler import Profiler
@@ -65,3 +74,49 @@ def test_whole_graph_builds_independent_of_layer_count(backend, builds):
     assert large == small
     for what in ("toposort", "topo_index", "units"):
         assert large.get(what, 0) <= 2, (what, large)
+
+
+@pytest.fixture
+def analyses(monkeypatch):
+    """Count AR constructions, node fingerprints, and the node documents
+    built while a group fingerprint is being computed."""
+    counts: Counter = Counter()
+    in_group = []
+    ar_init = AnalyzeRepresentation.__init__
+    node_doc = fingerprint_module._node_doc
+    group_fp = oarep_module.group_fingerprint
+
+    def counting_ar_init(self, *args, **kwargs):
+        counts["arep"] += 1
+        ar_init(self, *args, **kwargs)
+
+    def counting_node_doc(*args, **kwargs):
+        counts["node_doc"] += 1
+        counts["group_node_doc"] += bool(in_group)
+        return node_doc(*args, **kwargs)
+
+    def counting_group_fp(*args, **kwargs):
+        in_group.append(True)
+        try:
+            return group_fp(*args, **kwargs)
+        finally:
+            in_group.pop()
+
+    monkeypatch.setattr(AnalyzeRepresentation, "__init__", counting_ar_init)
+    monkeypatch.setattr(fingerprint_module, "_node_doc", counting_node_doc)
+    monkeypatch.setattr(oarep_module, "group_fingerprint", counting_group_fp)
+    return counts
+
+
+@pytest.mark.parametrize("cached", [True, False])
+@pytest.mark.parametrize("backend", sorted(PLATFORMS))
+def test_each_layer_analysed_once_per_cold_profile(backend, cached,
+                                                   analyses):
+    graph = build_model("swin-tiny")
+    analyses.clear()
+    cache = AnalysisCache() if cached else False
+    Profiler(backend, PLATFORMS[backend], DataType.FLOAT16,
+             analysis_cache=cache).profile(graph)
+    assert analyses["arep"] == 1
+    assert 0 < analyses["node_doc"] <= len(graph.nodes)
+    assert analyses["group_node_doc"] == 0

@@ -247,7 +247,7 @@ def test_layer_fingerprints_carry_version_and_kind_prefix():
     """node/group/tensor docs hash under distinct kind tags plus the
     format version, so tiers can never alias and a format bump
     invalidates stale cross-process stores."""
-    assert LAYER_FINGERPRINT_VERSION == 1
+    assert LAYER_FINGERPRINT_VERSION == 2
     g = _conv_graph("a", "x", "c")
     arep = AnalyzeRepresentation(g, DataType.FLOAT16)
     conv = next(n for n in g.nodes if n.op_type == "Conv")

@@ -10,8 +10,8 @@ from .sweep import BatchSweep, SweepPoint, sweep_batch_sizes
 from .insights import Insight, Severity, analyze, format_insights
 from .hierarchy import ModuleProfile, aggregate, format_modules
 from .diff import ReportDiff, diff_reports, format_diff
-# distributed estimation moved to repro.distribution; these re-exports
-# stay for compatibility (repro.core.distributed is a deprecated shim)
+# distributed estimation lives in repro.distribution; these re-exports
+# stay for compatibility
 from ..distribution.estimators import (PipelineEstimate,
                                        TensorParallelEstimate,
                                        estimate_pipeline,

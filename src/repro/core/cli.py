@@ -356,20 +356,16 @@ def _cache_rates_line(cache_stats: dict) -> str:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    from ..service import ProfilingServer, ProfilingService, \
-        ShardedProfilingService
+    from ..service import ProfilingServer, make_service
+    cache = {"cache_bytes": int(args.cache_mb * (1 << 20)),
+             "cache_entries": args.cache_entries, "cache_dir": args.cache_dir}
     if args.processes > 1:
-        service = ShardedProfilingService(
-            processes=args.processes,
-            shard_queue_size=args.shard_queue_size,
-            cache_bytes=int(args.cache_mb * (1 << 20)),
-            cache_entries=args.cache_entries, cache_dir=args.cache_dir)
+        service = make_service(args.processes,
+                               shard_queue_size=args.shard_queue_size, **cache)
         tier = f"{args.processes} shard processes"
     else:
-        service = ProfilingService(
-            workers=args.workers, queue_size=args.queue_size,
-            cache_bytes=int(args.cache_mb * (1 << 20)),
-            cache_entries=args.cache_entries, cache_dir=args.cache_dir)
+        service = make_service(workers=args.workers,
+                               queue_size=args.queue_size, **cache)
         tier = f"{args.workers} workers"
     service.start()
     server = ProfilingServer(service, host=args.host, port=args.port)

@@ -12,9 +12,9 @@ The planner consumes liveness as *level-granular* intervals — a tensor
 is live from the schedule level that produces it through the last level
 that consumes it, inclusive.  Level granularity (rather than step
 granularity) is what makes the assignment safe under the O3 dataflow
-scheduler: steps within one level may interleave arbitrarily across
-worker threads, and an interval that covers whole levels can never be
-recycled while any step of a concurrent chain might still read it.
+schedule: the plan runs the chains of one level in any order, and an
+interval that covers whole levels can never be recycled while any step
+of a sibling chain might still read it.
 
 Assignment is the classic first-fit / greedy interval scheme: walk the
 levels in order, return dead extents to a coalescing free list, and

@@ -39,7 +39,7 @@ optimization pipeline (:func:`repro.ir.passes.optimize_graph`):
 * ``optimize=3`` keeps O2's graph rewrites and adds plan-compile
   machinery on top: a **dataflow schedule** (:mod:`repro.ir.schedule`)
   that partitions steps into dependency levels of independent chains
-  and can run them on a shared worker pool; a **static arena**
+  and fixes the level-major run order; a **static arena**
   (:mod:`repro.ir.memplan`) that assigns every static intermediate a
   fixed offset so steady-state runs allocate nothing per run; **weight
   pre-packing** (reshaped / transposed / accumulation-typed conv and
@@ -63,15 +63,12 @@ reused buffers.  Scratch buffers and the O3 arena are *per-thread*
 state (``threading.local``), so one plan may be shared and run
 concurrently from any number of threads at every optimization level;
 each thread pays its own scratch warm-up and results stay bit-identical
-run-to-run.  The only serialized sections are the first O3 run (the
-flush-to-zero calibration pass) and O3 runs that use the worker pool
-(pool workers keep per-plan arenas that concurrent runs would clobber).
+run-to-run.  The only serialized section is the first O3 run (the
+flush-to-zero calibration pass).
 """
 from __future__ import annotations
 
-import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -103,26 +100,6 @@ _TINY = np.float32(1.1754944e-38)
 #: an arena slot of their own
 _ALIAS_OPS = frozenset(
     {"Reshape", "Flatten", "Identity", "Dropout", "Squeeze", "Unsqueeze"})
-
-# one process-wide worker pool shared by every O3 plan: branch chains
-# are short tasks, so pool reuse (not per-plan pools) keeps thread
-# start-up off the run path
-_POOL: Optional[ThreadPoolExecutor] = None
-_POOL_SIZE = 0
-_POOL_LOCK = threading.Lock()
-
-
-def _worker_pool(workers: int) -> ThreadPoolExecutor:
-    global _POOL, _POOL_SIZE
-    with _POOL_LOCK:
-        if _POOL is None or _POOL_SIZE < workers:
-            # grown, never shrunk: an undersized earlier pool would cap
-            # every later plan's parallelism
-            _POOL = ThreadPoolExecutor(max_workers=workers,
-                                       thread_name_prefix="repro-o3")
-            _POOL_SIZE = workers
-        return _POOL
-
 
 #: fused-op ufuncs usable with an explicit ``out=`` operand
 _OUT_BINARY = {"Add": np.add, "Sub": np.subtract, "Mul": np.multiply,
@@ -269,7 +246,7 @@ class ExecutionPlan:
     """A graph compiled for repeated execution (see module docstring)."""
 
     def __init__(self, graph: Graph, seed: int = 0, fold: bool = True,
-                 optimize: int = 0, threads: Optional[int] = None) -> None:
+                 optimize: int = 0) -> None:
         self.graph = graph
         self.seed = seed
         self.optimize_level = int(optimize)
@@ -313,12 +290,9 @@ class ExecutionPlan:
         self._o3_steps: Optional[List[_O3Step]] = None
         self._schedule: Optional[Schedule] = None
         self._arena: Optional[ArenaPlan] = None
-        self._workers = 1
         self._steps = self._compile_steps()
         self._plan_liveness()
         if self.optimize_level >= 3:
-            self._workers = max(1, int(threads)) if threads \
-                else max(1, os.cpu_count() or 1)
             self._compile_o3()
 
     # ------------------------------------------------------------------
@@ -870,13 +844,11 @@ class ExecutionPlan:
         #: sibling branch's last reader
         self._o3_order = [o3[i] for i in self._schedule.order]
         self._o3_calibrated = False
-        self._o3_run_lock = threading.Lock()
         stats.update(peak_arena_bytes=self._arena.peak_bytes,
                      arena_tensors=len(slots),
                      levels=self._schedule.num_levels,
                      chains=self._schedule.num_chains,
-                     max_width=self._schedule.max_width,
-                     workers=self._workers)
+                     max_width=self._schedule.max_width)
         self._o3_stats = stats
         default_registry().gauge(
             "plan.o3.arena_peak_bytes",
@@ -1332,14 +1304,7 @@ class ExecutionPlan:
                                          calibrate=True)
                     self._o3_calibrated = True
                     return self._o3_gather(env, names)
-        if self._workers > 1 and self._schedule.max_width > 1:
-            # pool workers keep per-(plan, thread) arenas: two concurrent
-            # pooled runs of one plan would interleave on the same worker
-            # arenas, so pooled runs serialize per plan
-            with self._o3_run_lock:
-                self._o3_exec_parallel(env)
-        else:
-            self._o3_exec_serial(env, self._o3_views())
+        self._o3_exec_serial(env, self._o3_views())
         return self._o3_gather(env, names)
 
     def _o3_exec_serial(self, env, views, calibrate: bool = False) -> None:
@@ -1354,34 +1319,6 @@ class ExecutionPlan:
                     f"{st.node.name or st.node.op_type!r}: {exc}") from exc
             if calibrate and not st.ftz and st.fouts:
                 self._o3_calibrate_step(st, env)
-            if st.ftz:
-                self._o3_flush(st, env)
-
-    def _o3_exec_parallel(self, env) -> None:
-        pool = _worker_pool(self._workers)
-        for level in self._schedule.levels:
-            if len(level) == 1:
-                self._o3_run_chain(level[0], env)
-                continue
-            futs = [pool.submit(self._o3_run_chain, chain, env)
-                    for chain in level[1:]]
-            self._o3_run_chain(level[0], env)
-            for fut in futs:
-                fut.result()
-
-    def _o3_run_chain(self, chain, env) -> None:
-        views = self._o3_views()
-        steps = self._o3_steps
-        for idx in chain:
-            st = steps[idx]
-            try:
-                st.run(env, views)
-            except ExecutionError:
-                raise
-            except Exception as exc:
-                raise ExecutionError(
-                    f"execution failed at "
-                    f"{st.node.name or st.node.op_type!r}: {exc}") from exc
             if st.ftz:
                 self._o3_flush(st, env)
 
@@ -1446,8 +1383,8 @@ class ExecutionPlan:
 
         Runs are concurrency-safe at every level: scratch state is
         per-thread, so callers may share one plan across threads.  O3
-        traced runs take the serial reference path (per-op spans would
-        be meaningless interleaved across pool workers).
+        traced runs take the step-by-step reference path, which carries
+        the per-op spans.
         """
         tracer = get_tracer()
         with self._lock:
@@ -1557,8 +1494,7 @@ class ExecutionPlan:
 
 
 def compile_plan(graph: Graph, seed: int = 0, fold: bool = True,
-                 optimize: int = 0,
-                 threads: Optional[int] = None) -> ExecutionPlan:
+                 optimize: int = 0) -> ExecutionPlan:
     """Compile ``graph`` for repeated execution.
 
     ``optimize`` selects the rewrite pipeline level (see
@@ -1566,9 +1502,5 @@ def compile_plan(graph: Graph, seed: int = 0, fold: bool = True,
     only, 1 adds bit-exact fusion rewrites and fast kernels, 2 adds
     BatchNorm folding and numerics-relaxed kernels, 3 adds dataflow
     scheduling, static arena memory planning and weight pre-packing.
-
-    ``threads`` caps the O3 worker pool (default: the CPU count; 1
-    forces inline execution).  Ignored below level 3.
     """
-    return ExecutionPlan(graph, seed=seed, fold=fold, optimize=optimize,
-                         threads=threads)
+    return ExecutionPlan(graph, seed=seed, fold=fold, optimize=optimize)

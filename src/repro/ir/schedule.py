@@ -11,9 +11,10 @@ this module turns the flat step list into an explicit schedule:
   are collapsed into one unit, since no parallelism exists inside them
   and per-step hand-off would only add overhead;
 * **levels** — chains are assigned the longest-path depth of their
-  dependencies.  All chains in one level are mutually independent, so a
-  level is exactly the unit a worker pool may execute concurrently,
-  with a barrier between levels.
+  dependencies.  All chains in one level are mutually independent.
+  The plan runs levels in order (the level-major :attr:`Schedule.order`),
+  which is what lets :mod:`repro.ir.memplan` recycle arena slots at
+  level boundaries; ``max_width`` reports how wide the widest level is.
 
 The schedule is a pure function of the step dependency sets: it holds
 step *indices* only, never arrays or closures, so one schedule is
@@ -110,8 +111,6 @@ def build_schedule(deps: Sequence[Set[int]]) -> Schedule:
     levels: List[List[Tuple[int, ...]]] = [[] for _ in range(n_levels)]
     for ci, members in enumerate(chains):
         levels[depth[ci]].append(members)
-    # widest chains first: with more chains than workers, starting the
-    # long poles early minimizes the level's critical path
     for level in levels:
         level.sort(key=len, reverse=True)
     return Schedule(levels)

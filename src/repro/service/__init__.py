@@ -1,17 +1,20 @@
 """Profiling-as-a-service layer on top of the PRoof profiler.
 
 Turns the single-shot :class:`~repro.core.profiler.Profiler` into a
-long-running concurrent service: a bounded priority job queue, a
-thread-pool of workers with single-flight dedup / retry / timeout
-policy, a content-addressed result cache keyed by request fingerprints,
-service metrics, and an ``http.server`` JSON API.
+long-running concurrent service: one admission and completion policy
+(cache short-circuits, single-flight dedup, retries) over two execution
+engines — a thread pool draining a bounded priority queue, or a fleet
+of shard processes behind a consistent-hash ring — plus a
+content-addressed result cache keyed by request fingerprints and an
+``http.server`` JSON API.
 """
 from .cache import CacheStats, ResultCache
 from .dispatch import Dispatcher, HashRing, ShardBusyError, WorkerCrashError
 from .fingerprint import CACHE_KEY_VERSION, ProfileRequest, request_fingerprint
-from .metrics import Counter, Gauge, Histogram, MetricsRegistry
+from ..obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from .queue import (Job, JobCancelledError, JobFailedError, JobQueue,
                     JobStatus, JobTimeoutError, QueueFullError)
+from .policy import SchedulingPolicy
 from .shard import ShardConfig, ShardHandle
 from .workers import WorkerPool
 from .server import (ProfilingServer, ProfilingService,
@@ -24,7 +27,7 @@ __all__ = [
     "Counter", "Gauge", "Histogram", "MetricsRegistry",
     "Job", "JobCancelledError", "JobFailedError", "JobQueue", "JobStatus",
     "JobTimeoutError", "QueueFullError",
-    "ShardConfig", "ShardHandle",
+    "SchedulingPolicy", "ShardConfig", "ShardHandle",
     "WorkerPool",
     "ProfilingServer", "ProfilingService", "ShardedProfilingService",
     "default_runner", "make_service",

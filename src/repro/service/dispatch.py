@@ -1,22 +1,23 @@
 """The fleet dispatcher: consistent hashing, supervision, load-shedding.
 
-:class:`Dispatcher` is the multi-process counterpart of
-:class:`~repro.service.workers.WorkerPool`: it fronts N shard
-*processes* (:mod:`repro.service.shard`) instead of N threads, so
-GIL-holding numpy kernels actually run in parallel.
+:class:`Dispatcher` is the multi-process engine under the shared
+:class:`~repro.service.policy.SchedulingPolicy` (which owns the cache
+short-circuits, single-flight dedup, the retry budget and completion):
+it fronts N shard *processes* (:mod:`repro.service.shard`) instead of
+N threads, so GIL-holding numpy kernels actually run in parallel.
 
 * **Consistent hashing** — a :class:`HashRing` with virtual nodes maps
   every request fingerprint onto exactly one shard.  Identical
   requests always land on the same process, so each shard's private
   result/analysis caches stay hot for the key range it owns, and the
-  single-flight table needs no cross-process coordination.
-* **Single-flight dedup** — while a fingerprint is in flight, followers
-  attach to the leader job parent-side; exactly one task crosses the
-  process boundary.
+  single-flight table needs no cross-process coordination: exactly one
+  task per fingerprint crosses the process boundary.
 * **Load-shedding** — each shard carries a bounded waiting queue; when
   it is full, submission fails with :class:`ShardBusyError` carrying a
   ``retry_after`` estimate (EWMA service time x backlog), which the
   HTTP layer surfaces as ``429`` + ``Retry-After``.
+* **Reply-driven retries** — a transient failure backs off on the
+  shard's reader thread and requeues the job at the head of its shard.
 * **Supervision** — a supervisor thread respawns crashed shard
   processes and drains their queued jobs back for re-dispatch; the one
   interrupted job counts a :class:`WorkerCrashError` attempt against
@@ -33,8 +34,8 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple, Type
 
 from ..backends.base import UnsupportedModelError
 from ..obs.metrics import MetricsRegistry
-from ..obs.trace import get_tracer
 from .cache import ResultCache
+from .policy import SchedulingPolicy
 from .queue import Job, JobTimeoutError
 from .shard import ShardConfig, ShardHandle, fleet_context
 
@@ -123,8 +124,11 @@ class HashRing:
         return owned
 
 
-class Dispatcher:
-    """Routes jobs onto shard processes and owns fleet policy."""
+class Dispatcher(SchedulingPolicy):
+    """Routes jobs onto shard processes."""
+
+    _refusal = (ShardBusyError, "shed", "jobs.shed")
+    _admitted = "dispatched"
 
     def __init__(
         self,
@@ -144,15 +148,10 @@ class Dispatcher:
     ) -> None:
         if processes <= 0:
             raise ValueError("need at least one shard process")
-        self.tracer = tracer
-        self._cache = cache
-        self.metrics = metrics or MetricsRegistry()
-        self._backoff = backoff_seconds
-        self._fatal = fatal_exceptions
+        super().__init__(cache=cache, metrics=metrics,
+                         backoff_seconds=backoff_seconds,
+                         fatal_exceptions=fatal_exceptions, tracer=tracer)
         self._supervisor_poll = supervisor_poll_seconds
-        self._inflight: Dict[str, Job] = {}
-        self._inflight_lock = threading.Lock()
-        self._stop_event = threading.Event()
         self._supervisor: Optional[threading.Thread] = None
         self._running = False
         ctx = fleet_context()
@@ -161,7 +160,8 @@ class Dispatcher:
         self.ring = HashRing(range(processes), replicas=replicas)
         self.shards: Dict[int, ShardHandle] = {
             shard_id: ShardHandle(
-                shard_id, on_reply=self._on_reply, runner=runner,
+                shard_id, on_reply=self._on_reply,
+                on_cancel=self._cancelled, runner=runner,
                 config=config, queue_size=shard_queue_size, ctx=ctx)
             for shard_id in range(processes)
         }
@@ -170,9 +170,7 @@ class Dispatcher:
                                lambda h=handle: h.depth)
             self.metrics.gauge(f"shard.{shard_id}.utilization",
                                lambda h=handle: h.utilization)
-        self.metrics.gauge(
-            "queue.depth",
-            lambda: sum(h.depth for h in self.shards.values()))
+        self.metrics.gauge("queue.depth", self._depth)
         self.metrics.gauge(
             "shard.utilization",
             lambda: sum(h.utilization for h in self.shards.values())
@@ -209,117 +207,61 @@ class Dispatcher:
         for handle in self.shards.values():
             handle.stop()
 
-    @property
-    def inflight_count(self) -> int:
-        with self._inflight_lock:
-            return len(self._inflight)
+    def stats(self) -> Dict[str, Any]:
+        """This engine's section of the service's ``/stats``."""
+        return {
+            "queue": {"depth": self._depth(),
+                      "capacity": sum(h.queue_size
+                                      for h in self.shards.values()),
+                      "inflight": self.inflight_count},
+            "shards": {shard_id: handle.stats()
+                       for shard_id, handle in self.shards.items()},
+            "workers": self.num_shards,
+        }
+
+    def _depth(self) -> int:
+        return sum(h.depth for h in self.shards.values())
 
     # ------------------------------------------------------------------
-    def _tracer(self):
-        return self.tracer if self.tracer is not None else get_tracer()
+    def _enqueue(self, job: Job, span) -> None:
+        shard_id = self.ring.shard_for(job.key)
+        span.set("shard", shard_id)
+        self.shards[shard_id].enqueue(job)
 
-    def submit(self, job: Job) -> Job:
-        """Route a job onto its owning shard.
-
-        Mirrors :meth:`WorkerPool.submit`: result-cache and
-        negative-cache hits complete immediately, identical in-flight
-        fingerprints coalesce onto the leader, and a full shard queue
-        sheds load with :class:`ShardBusyError`.
-        """
-        with self._tracer().span("job.submit", trace_id=job.id,
-                                 key=job.key[:16]) as span:
-            cached = self._cache.get(job.key)
-            if cached is not None:
-                span.set("outcome", "cache_hit")
-                job.cache_hit = True
-                job.finish(cached)
-                self.metrics.counter("jobs.cache_hits").inc()
-                return job
-            failure = self._cache.get_failure(job.key)
-            if failure is not None:
-                span.set("outcome", "negative_hit")
-                job.cache_hit = True
-                job.fail(self._revive_failure(failure))
-                self.metrics.counter("jobs.negative_hits").inc()
-                return job
-            with self._inflight_lock:
-                leader = self._inflight.get(job.key)
-                if leader is not None and not leader.done:
-                    leader.dedup_count += 1
-                    span.set("outcome", "deduplicated")
-                    span.set("merged_onto", leader.id)
-                    self.metrics.counter("jobs.deduplicated").inc()
-                    return leader
-                self._inflight[job.key] = job
-            shard_id = self.ring.shard_for(job.key)
-            span.set("shard", shard_id)
-            try:
-                self.shards[shard_id].enqueue(job)
-            except ShardBusyError:
-                self._drop_inflight(job)
-                span.set("outcome", "shed")
-                self.metrics.counter("jobs.shed").inc()
-                raise
-            span.set("outcome", "dispatched")
-            self.metrics.counter("jobs.submitted").inc()
-            return job
-
-    # -- completion policy (runs on shard reader threads) --------------
+    # -- completion (runs on shard reader threads) ---------------------
     def _on_reply(self, handle: ShardHandle, job: Job, reply: dict) -> None:
-        tracer = self._tracer()
         if reply["ok"]:
-            report = reply["result"]
             if reply.get("cache_hit"):
                 job.cache_hit = True
-            try:
-                with tracer.span("cache.store", trace_id=job.id):
-                    self._cache.put(job.key, report)
-            except Exception:
-                # an uncacheable result must not strand the job or kill
-                # this reader thread — serve it and skip the cache
-                self.metrics.counter("cache.store_errors").inc()
-            self._drop_inflight(job)
-            job.finish(report)
-            self.metrics.counter("jobs.succeeded").inc()
-            self.metrics.histogram("service.seconds").observe(
-                reply.get("service_seconds", 0.0))
-            if tracer.enabled:
-                tracer.event("dispatch.reply", trace_id=job.id,
-                             shard=handle.shard_id, outcome="succeeded")
+            self._event(handle, job, "succeeded")
+            self._succeed(job, reply["result"],
+                          reply.get("service_seconds", 0.0))
             return
         type_name, message, fatal = reply["error"]
-        if fatal:
-            error = self._revive_error(type_name, message)
-            self._cache.put_failure(job.key, error)
-            self._fail(handle, job, error)
-            return
-        self._retry_or_fail(
-            handle, job, self._revive_error(type_name, message))
+        self._retry_or_fail(handle, job,
+                            self._revive_error(type_name, message), fatal)
 
     def _retry_or_fail(self, handle: ShardHandle, job: Job,
-                       error: BaseException) -> None:
-        """Transient failure: retry with interruptible backoff, or give
-        up when the budget (``max_retries + 1`` attempts) is spent."""
-        if job.attempts <= job.max_retries and not self._stop_event.is_set():
-            self.metrics.counter("jobs.retries").inc()
-            # the wait runs on this shard's reader thread: the shard
-            # backs off with its failing job, and stop() interrupts
-            if not self._stop_event.wait(
-                    self._backoff * (2 ** (job.attempts - 1))):
-                handle.requeue_front(job)
-                return
-        self._fail(handle, job, error)
+                       error: BaseException, fatal: bool = False) -> None:
+        """A transient failure requeues after its backoff while the
+        budget lasts; a fatal one, or the last, fails the job.
 
-    def _fail(self, handle: ShardHandle, job: Job,
-              error: BaseException) -> None:
-        self._drop_inflight(job)
-        job.fail(error)
-        self.metrics.counter("jobs.failed").inc()
+        The wait runs on this shard's reader thread: the shard backs
+        off with its failing job, and ``stop()`` interrupts it.
+        """
+        if not fatal and self._retry(job):
+            handle.requeue_front(job)
+            return
+        self._event(handle, job, "failed", error)
+        self._fail(job, error, fatal)
+
+    def _event(self, handle: ShardHandle, job: Job, outcome: str,
+               error: Optional[BaseException] = None) -> None:
         tracer = self._tracer()
         if tracer.enabled:
+            attrs = {} if error is None else {"error": str(error)}
             tracer.event("dispatch.reply", trace_id=job.id,
-                         shard=handle.shard_id, outcome="failed",
-                         error=str(error))
+                         shard=handle.shard_id, outcome=outcome, **attrs)
 
     # -- supervision ---------------------------------------------------
     def _supervise(self) -> None:
@@ -352,26 +294,3 @@ class Dispatcher:
             # without shedding so the crash cannot lose them
             self.metrics.counter("jobs.drained").inc()
             handle.enqueue(job, shed=False)
-
-    # ------------------------------------------------------------------
-    def _revive_error(self, type_name: str, message: str) -> BaseException:
-        for cls in self._fatal:
-            if cls.__name__ == type_name:
-                return cls(message)
-        return RuntimeError(f"{type_name}: {message}")
-
-    def _revive_failure(self, failure: Tuple[str, str]) -> BaseException:
-        return self._revive_error(failure[0], failure[1])
-
-    def _drop_inflight(self, job: Job) -> None:
-        with self._inflight_lock:
-            if self._inflight.get(job.key) is job:
-                del self._inflight[job.key]
-
-    def stats(self) -> Dict[str, Any]:
-        return {
-            "shards": {shard_id: handle.stats()
-                       for shard_id, handle in self.shards.items()},
-            "inflight": self.inflight_count,
-            "depth": sum(h.depth for h in self.shards.values()),
-        }

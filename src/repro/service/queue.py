@@ -200,20 +200,32 @@ class JobQueue:
             return sum(1 for _, _, job in self._heap
                        if job.status != JobStatus.CANCELLED)
 
-    def _compact_locked(self) -> None:
+    def _compact_locked(self) -> List[Job]:
         """Drop cancelled entries so they stop holding capacity."""
-        live = [entry for entry in self._heap
-                if entry[2].status != JobStatus.CANCELLED]
-        if len(live) != len(self._heap):
+        live: List[Tuple[int, int, Job]] = []
+        dropped: List[Job] = []
+        for entry in self._heap:
+            if entry[2].status == JobStatus.CANCELLED:
+                dropped.append(entry[2])
+            else:
+                live.append(entry)
+        if dropped:
             self._heap = live
             heapq.heapify(self._heap)
+        return dropped
 
-    def put(self, job: Job) -> None:
+    def put(self, job: Job) -> List[Job]:
+        """Enqueue ``job``; raises :class:`QueueFullError` when full.
+
+        Returns the cancelled jobs compacted out to make room: they
+        will never be popped, so the caller accounts for them.
+        """
+        dropped: List[Job] = []
         with self._lock:
             if len(self._heap) >= self.maxsize:
                 # a burst of cancels must not cause spurious
                 # backpressure: reclaim dead entries before rejecting
-                self._compact_locked()
+                dropped = self._compact_locked()
             if len(self._heap) >= self.maxsize:
                 raise QueueFullError(
                     f"job queue full ({self.maxsize} pending)")
@@ -224,6 +236,7 @@ class JobQueue:
         if tracer.enabled:
             tracer.event("queue.put", trace_id=job.id,
                          priority=job.priority, depth=depth)
+        return dropped
 
     def get(self, timeout: Optional[float] = None) -> Optional[Job]:
         """Pop the highest-priority job, or None on timeout.

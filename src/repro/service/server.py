@@ -2,8 +2,9 @@
 
 :class:`ProfilingService` glues the pieces together — it resolves
 model names through the zoo registry, validates the configuration,
-fingerprints the request, and hands a :class:`Job` to the worker pool
-(which consults the cache and the single-flight table first).  The
+fingerprints the request, and hands a :class:`Job` to its scheduler
+(whose shared policy consults the caches and the single-flight table
+first).  The
 default runner builds a fresh :class:`~repro.core.profiler.Profiler`
 per job, so worker threads share nothing.
 
@@ -49,12 +50,11 @@ from ..ir.shape_inference import infer_shapes
 from ..ir.tensor import DataType
 from ..models.registry import build_model
 from ..obs.export import chrome_trace_events
-from ..obs.metrics import PROMETHEUS_CONTENT_TYPE
+from ..obs.metrics import PROMETHEUS_CONTENT_TYPE, MetricsRegistry
 from ..obs.trace import Tracer
 from .cache import ResultCache
 from .dispatch import Dispatcher, ShardBusyError
 from .fingerprint import ProfileRequest
-from .metrics import MetricsRegistry
 from .queue import Job, JobQueue, JobStatus, QueueFullError
 from .shard import ShardConfig
 from .workers import WorkerPool
@@ -84,7 +84,14 @@ def default_runner(request: ProfileRequest,
 
 
 class ProfilingService:
-    """Long-running concurrent profiling front-end."""
+    """Long-running concurrent profiling front-end.
+
+    Validation, fingerprinting, the result cache, job tracking and
+    tracing live here; execution goes to one scheduler (the thread
+    tier's :class:`WorkerPool` here, the fleet's :class:`Dispatcher` in
+    :class:`ShardedProfilingService`) through ``start``, ``stop``,
+    ``submit``, ``inflight_count`` and its ``stats()`` section.
+    """
 
     def __init__(
         self,
@@ -103,40 +110,6 @@ class ProfilingService:
         analysis_cache: Optional[AnalysisCache] = None,
         tracer: Optional[Tracer] = None,
     ) -> None:
-        self._init_core(cache_bytes=cache_bytes,
-                        cache_entries=cache_entries, cache_dir=cache_dir,
-                        negative_ttl=negative_ttl, max_retries=max_retries,
-                        default_timeout=default_timeout,
-                        max_tracked_jobs=max_tracked_jobs,
-                        analysis_cache=analysis_cache, tracer=tracer)
-        if runner is None:
-            runner = lambda request: default_runner(  # noqa: E731
-                request, analysis_cache=self.analysis_cache,
-                tracer=self.tracer)
-        self.queue = JobQueue(maxsize=queue_size, tracer=self.tracer)
-        self.pool = WorkerPool(runner, queue=self.queue,
-                               cache=self.cache, metrics=self.metrics,
-                               num_workers=workers,
-                               backoff_seconds=backoff_seconds,
-                               analysis_cache=self.analysis_cache,
-                               tracer=self.tracer)
-        self.metrics.gauge("queue.depth", lambda: self.queue.depth)
-
-    def _init_core(
-        self,
-        *,
-        cache_bytes: int,
-        cache_entries: int,
-        cache_dir: Optional[str],
-        negative_ttl: float,
-        max_retries: int,
-        default_timeout: Optional[float],
-        max_tracked_jobs: int,
-        analysis_cache: Optional[AnalysisCache],
-        tracer: Optional[Tracer],
-    ) -> None:
-        """State shared by the thread-pool and sharded services:
-        validation, fingerprinting, caches, job tracking, metrics."""
         self.metrics = MetricsRegistry()
         self.cache = ResultCache(max_bytes=cache_bytes,
                                  max_entries=cache_entries,
@@ -165,19 +138,34 @@ class ProfilingService:
         #: for ``graph=`` submissions.
         self._name_keys: Dict[tuple, str] = {}
         self._name_keys_lock = threading.Lock()
+        self._scheduler = self._make_scheduler(
+            runner, workers=workers, queue_size=queue_size,
+            backoff_seconds=backoff_seconds)
+
+    def _make_scheduler(self, runner, *, workers: int, queue_size: int,
+                        backoff_seconds: float):
+        """The thread tier: one priority queue drained by a pool."""
+        if runner is None:
+            runner = lambda request: default_runner(  # noqa: E731
+                request, analysis_cache=self.analysis_cache,
+                tracer=self.tracer)
+        self.queue = JobQueue(maxsize=queue_size, tracer=self.tracer)
+        self.metrics.gauge("queue.depth", lambda: self.queue.depth)
+        self.pool = WorkerPool(runner, queue=self.queue,
+                               cache=self.cache, metrics=self.metrics,
+                               num_workers=workers,
+                               backoff_seconds=backoff_seconds,
+                               analysis_cache=self.analysis_cache,
+                               tracer=self.tracer)
+        return self.pool
 
     # -- lifecycle ------------------------------------------------------
     def start(self) -> "ProfilingService":
-        self.pool.start()
+        self._scheduler.start()
         return self
 
     def stop(self) -> None:
-        self.pool.stop()
-
-    def _dispatch(self, job: Job) -> Job:
-        """Hand a validated job to the execution tier (overridden by
-        the sharded service to route through the dispatcher)."""
-        return self.pool.submit(job)
+        self._scheduler.stop()
 
     def __enter__(self) -> "ProfilingService":
         return self.start()
@@ -227,20 +215,15 @@ class ProfilingService:
             with self._name_keys_lock:
                 known = self._name_keys.get(name_key)
             if known is not None:
-                cached = self.cache.get(known)
-                if cached is not None:
-                    # warm fast path: no graph build, no hashing
-                    job = Job(
-                        job_id=f"job-{next(self._ids):06d}", key=known,
-                        request=None, priority=priority,
-                        summary={"model": model, "backend": backend,
-                                 "platform": platform,
-                                 "precision": precision,
-                                 "metric_source": metric_source,
-                                 "batch_size": batch_size})
-                    job.cache_hit = True
-                    job.finish(cached)
-                    self.metrics.counter("jobs.cache_hits").inc()
+                # warm fast path: no graph build, no hashing
+                job = Job(
+                    job_id=f"job-{next(self._ids):06d}", key=known,
+                    request=None, priority=priority,
+                    summary={"model": model, "backend": backend,
+                             "platform": platform, "precision": precision,
+                             "metric_source": metric_source,
+                             "batch_size": batch_size})
+                if self._scheduler.complete_cached(job) is not None:
                     self._track(job)
                     return job
             graph = build_model(model, batch_size=batch_size)
@@ -265,7 +248,7 @@ class ProfilingService:
             else max_retries,
             summary=request.summary(),
         )
-        job = self._dispatch(job)
+        job = self._scheduler.submit(job)
         self._track(job)
         return job
 
@@ -288,12 +271,9 @@ class ProfilingService:
         snap = self.metrics.snapshot()
         return {
             "cache": self.cache.stats().to_dict(),
-            "analysis_cache": self.analysis_cache.stats(),
-            "queue": {"depth": self.queue.depth,
-                      "capacity": self.queue.maxsize,
-                      "inflight": self.pool.inflight_count},
-            "workers": self.pool.num_workers,
+            **self._scheduler.stats(),
             "counters": snap["counters"],
+            "gauges": snap["gauges"],
             "histograms": snap["histograms"],
         }
 
@@ -372,57 +352,32 @@ class ShardedProfilingService(ProfilingService):
         max_tracked_jobs: int = 4096,
         tracer: Optional[Tracer] = None,
     ) -> None:
+        self.processes = processes
+        self._shard_config = ShardConfig(cache_bytes=shard_cache_bytes,
+                                         cache_entries=shard_cache_entries,
+                                         cache_dir=cache_dir,
+                                         negative_ttl=negative_ttl)
         # shards own their (process-private) analysis caches; the
         # parent-side one exists only for facade compatibility, so it
         # does not register per-tier gauges that would always read zero
-        self._init_core(cache_bytes=cache_bytes,
-                        cache_entries=cache_entries, cache_dir=cache_dir,
-                        negative_ttl=negative_ttl, max_retries=max_retries,
-                        default_timeout=default_timeout,
-                        max_tracked_jobs=max_tracked_jobs,
-                        analysis_cache=AnalysisCache(), tracer=tracer)
-        shard_config = ShardConfig(cache_bytes=shard_cache_bytes,
-                                   cache_entries=shard_cache_entries,
-                                   cache_dir=cache_dir,
-                                   negative_ttl=negative_ttl)
+        super().__init__(workers=processes, queue_size=shard_queue_size,
+                         cache_bytes=cache_bytes,
+                         cache_entries=cache_entries, cache_dir=cache_dir,
+                         negative_ttl=negative_ttl, max_retries=max_retries,
+                         backoff_seconds=backoff_seconds,
+                         default_timeout=default_timeout, runner=runner,
+                         max_tracked_jobs=max_tracked_jobs,
+                         analysis_cache=AnalysisCache(), tracer=tracer)
+
+    def _make_scheduler(self, runner, *, workers: int, queue_size: int,
+                        backoff_seconds: float):
+        """The fleet: ``workers`` shard processes behind a hash ring."""
         self.dispatcher = Dispatcher(
             runner, cache=self.cache, metrics=self.metrics,
-            processes=processes, shard_queue_size=shard_queue_size,
-            backoff_seconds=backoff_seconds, shard_config=shard_config,
-            tracer=self.tracer)
-
-    # -- lifecycle ------------------------------------------------------
-    def start(self) -> "ShardedProfilingService":
-        self.dispatcher.start()
-        return self
-
-    def stop(self) -> None:
-        self.dispatcher.stop()
-
-    def _dispatch(self, job: Job) -> Job:
-        return self.dispatcher.submit(job)
-
-    # -- inspection -----------------------------------------------------
-    @property
-    def processes(self) -> int:
-        return self.dispatcher.num_shards
-
-    def stats(self) -> Dict[str, Any]:
-        snap = self.metrics.snapshot()
-        fleet = self.dispatcher.stats()
-        return {
-            "cache": self.cache.stats().to_dict(),
-            "queue": {"depth": fleet["depth"],
-                      "capacity": sum(
-                          h.queue_size
-                          for h in self.dispatcher.shards.values()),
-                      "inflight": fleet["inflight"]},
-            "shards": fleet["shards"],
-            "workers": self.dispatcher.num_shards,
-            "counters": snap["counters"],
-            "gauges": snap["gauges"],
-            "histograms": snap["histograms"],
-        }
+            processes=workers, shard_queue_size=queue_size,
+            backoff_seconds=backoff_seconds,
+            shard_config=self._shard_config, tracer=self.tracer)
+        return self.dispatcher
 
 
 def make_service(processes: int = 1, **kwargs) -> ProfilingService:

@@ -123,46 +123,39 @@ def shard_main(shard_id: int, conn, runner: Optional[Callable[[Any], Any]],
         _, seq, key, request = msg
         started = time.monotonic()
         started_cpu = time.process_time()
-        ok, result, error, cache_hit = True, None, None, False
+        ok, result, error = True, None, None
         try:
-            cached = cache.get(key) if key else None
-            if cached is not None:
-                result, cache_hit = cached, True
-            else:
-                failure = cache.get_failure(key) if key else None
-                if failure is not None:
-                    ok = False
-                    error = (failure[0], failure[1], True)
-                else:
-                    result = runner(request)
-                    if key and result is not None:
-                        try:
-                            cache.put(key, result)
-                        except Exception:
-                            pass    # uncacheable result: serve, don't store
+            # the parent's policy already missed its result and negative
+            # caches; this shard-private slice keeps the owned key range
+            # warm across parent evictions (and on disk, per shard)
+            result = cache.get(key)
+            cache_hit = result is not None
+            if not cache_hit:
+                result = runner(request)
+                try:
+                    cache.put(key, result)
+                except Exception:
+                    pass    # uncacheable result: serve, don't store
         except BaseException as exc:  # noqa: BLE001 - reported to parent
-            ok, result = False, None
-            fatal = isinstance(exc, config.fatal_exceptions)
-            error = (type(exc).__name__, str(exc), fatal)
-            if fatal and key:
-                cache.put_failure(key, exc)
-        reply = {"ok": ok, "result": result, "error": error,
-                 "cache_hit": cache_hit,
-                 # wall time drives utilization + Retry-After ETAs;
-                 # CPU time is contention-free (scheduling on a busy
-                 # host never inflates it), so it feeds scaling models
-                 "service_seconds": time.monotonic() - started,
-                 "cpu_seconds": time.process_time() - started_cpu}
+            ok, result, cache_hit = False, None, False
+            error = (type(exc).__name__, str(exc),
+                     isinstance(exc, config.fatal_exceptions))
+        # wall time drives utilization + Retry-After ETAs; CPU time is
+        # contention-free (scheduling on a busy host never inflates
+        # it), so it feeds scaling models
+        elapsed = {"service_seconds": time.monotonic() - started,
+                   "cpu_seconds": time.process_time() - started_cpu}
         try:
-            conn.send(("done", seq, reply))
+            conn.send(("done", seq, {"ok": ok, "result": result,
+                                     "error": error, "cache_hit": cache_hit,
+                                     **elapsed}))
         except Exception as exc:  # unpicklable result, closed pipe, ...
             try:
                 conn.send(("done", seq, {
                     "ok": False, "result": None, "cache_hit": False,
                     "error": (type(exc).__name__,
                               f"shard reply failed: {exc}", False),
-                    "service_seconds": time.monotonic() - started,
-                    "cpu_seconds": time.process_time() - started_cpu}))
+                    **elapsed}))
             except Exception:
                 return
 
@@ -174,11 +167,15 @@ class ShardHandle:
     outstanding in the child, so the child pipe never backs up and a
     crash loses at most one in-flight job (recovered by the
     supervisor).  ``on_reply(handle, job, reply)`` is the dispatcher's
-    completion callback, invoked on this shard's reader thread.
+    completion callback, invoked on this shard's reader thread;
+    ``on_cancel(job)`` reports a job cancelled while it waited, which
+    the handle drops without sending it.  ``on_cancel`` runs under the
+    handle's lock, so it must not call back into the handle.
     """
 
     def __init__(self, shard_id: int, *,
                  on_reply: Callable[["ShardHandle", Job, dict], None],
+                 on_cancel: Callable[[Job], None],
                  runner: Optional[Callable[[Any], Any]] = None,
                  config: Optional[ShardConfig] = None,
                  queue_size: int = 16,
@@ -189,6 +186,7 @@ class ShardHandle:
         self.shard_id = shard_id
         self.queue_size = queue_size
         self._on_reply = on_reply
+        self._on_cancel = on_cancel
         self._runner = runner
         self._config = config or ShardConfig()
         self._ctx = ctx or fleet_context()
@@ -333,13 +331,9 @@ class ShardHandle:
             return
         while self._waiting:
             job = self._waiting.popleft()
-            if job.status == JobStatus.PENDING:
-                if not job.mark_running():
-                    self.cancelled_dropped += 1
-                    continue
-            elif job.status != JobStatus.RUNNING:
-                # cancelled (or otherwise finished) while waiting
-                self.cancelled_dropped += 1
+            # a retrying or drained job is already running
+            if job.status != JobStatus.RUNNING and not job.mark_running():
+                self._drop_cancelled_locked(job)
                 continue
             job.attempts += 1
             self._seq += 1
@@ -358,6 +352,10 @@ class ShardHandle:
                 self._current_deadline = None
             return
 
+    def _drop_cancelled_locked(self, job: Job) -> None:
+        self.cancelled_dropped += 1
+        self._on_cancel(job)
+
     # -- crash / timeout recovery --------------------------------------
     def take_pending(self) -> Tuple[Optional[Job], bool, List[Job]]:
         """Drain everything queued on a dead incarnation.
@@ -368,9 +366,12 @@ class ShardHandle:
         """
         with self._lock:
             current, timed_out = self._current, self._timed_out
-            waiting = [job for job in self._waiting
-                       if job.status in (JobStatus.PENDING,
-                                         JobStatus.RUNNING)]
+            waiting = []
+            for job in self._waiting:
+                if job.status in (JobStatus.PENDING, JobStatus.RUNNING):
+                    waiting.append(job)
+                else:
+                    self._drop_cancelled_locked(job)
             self._waiting.clear()
             self._current = None
             self._current_deadline = None

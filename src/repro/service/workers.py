@@ -1,51 +1,45 @@
-"""The worker pool: execution, single-flight dedup, retries, timeouts.
+"""The thread tier: N worker threads draining one priority queue.
 
 ``WorkerPool`` runs N worker loops on a :class:`ThreadPoolExecutor`.
-Each loop pops jobs off the priority queue and executes the injected
+Each loop pops the highest-priority job off the shared
+:class:`~repro.service.queue.JobQueue` and executes the injected
 ``runner`` (the real profiler in production, anything callable in
-tests).  Around that single call sits the service's reliability policy:
+tests).  Admission, dedup, retry budget and completion are the shared
+:class:`~repro.service.policy.SchedulingPolicy`; the pool adds only
+what a thread engine does:
 
-* **single-flight dedup** — while a fingerprint is in flight, identical
-  submissions attach to the in-flight job instead of enqueueing; N
-  concurrent identical requests trigger exactly one profile;
-* **cache short-circuit** — submissions whose fingerprint is already
-  cached complete immediately without touching the queue;
-* **retry with exponential backoff** — transient failures re-run up to
-  ``job.max_retries`` times (``backoff * 2^attempt`` waits on the
-  pool's stop event, so shutdown interrupts a backoff immediately);
-  fatal errors (an :class:`UnsupportedModelError` will never start
-  working) fail immediately and are recorded in the cache's TTL'd
-  negative tier so identical requests short-circuit with the original
-  error;
+* **synchronous attempts** — a job's attempts and backoffs all run on
+  the worker that popped it, inside one ``job.execute`` span;
 * **per-attempt timeout** — a timed attempt runs on a helper thread and
   is abandoned when it overruns; the timeout counts as a transient
-  failure, so it participates in the retry budget.
+  failure, so it participates in the retry budget;
+* **backpressure** — a full queue refuses the submission with
+  :class:`~repro.service.queue.QueueFullError` (HTTP 503), counted in
+  ``jobs.rejected``.
 """
 from __future__ import annotations
 
-import logging
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Callable, Dict, Optional, Tuple, Type
 
 from ..analysis.cache import AnalysisCache
 from ..backends.base import UnsupportedModelError
-from ..obs.trace import get_tracer
+from ..obs.metrics import MetricsRegistry
 from .cache import ResultCache
-from .metrics import MetricsRegistry
-from .queue import (Job, JobQueue, JobStatus, JobTimeoutError,
-                    QueueFullError)
+from .policy import SchedulingPolicy
+from .queue import Job, JobQueue, JobTimeoutError, QueueFullError
 
 __all__ = ["WorkerPool"]
-
-log = logging.getLogger(__name__)
 
 #: worker loops poll at this period so ``stop()`` is prompt
 _POLL_SECONDS = 0.1
 
 
-class WorkerPool:
-    """Executes queued jobs; owns dedup, retry and timeout policy."""
+class WorkerPool(SchedulingPolicy):
+    """Executes queued jobs on worker threads."""
+
+    _refusal = (QueueFullError, "rejected", "jobs.rejected")
 
     def __init__(
         self,
@@ -63,12 +57,11 @@ class WorkerPool:
     ) -> None:
         if num_workers <= 0:
             raise ValueError("need at least one worker")
+        super().__init__(cache=cache, metrics=metrics,
+                         backoff_seconds=backoff_seconds,
+                         fatal_exceptions=fatal_exceptions, tracer=tracer)
         self._runner = runner
-        #: pinned tracer (the owning service's); None uses the global one
-        self.tracer = tracer
         self._queue = queue
-        self._cache = cache
-        self.metrics = metrics or MetricsRegistry()
         #: structural tier below the report cache — report-cache misses
         #: that share a graph/backend/precision still skip re-analysis.
         #: The pool itself only surfaces its metrics; the runner is what
@@ -86,15 +79,8 @@ class WorkerPool:
                     f"analysis_cache.{tier}.evictions",
                     lambda t=tier: analysis_cache.eviction_counts()[t])
         self.num_workers = num_workers
-        self._backoff = backoff_seconds
-        self._fatal = fatal_exceptions
-        self._inflight: Dict[str, Job] = {}
-        self._inflight_lock = threading.Lock()
         self._executor: Optional[ThreadPoolExecutor] = None
         self._running = False
-        #: set on shutdown so retry backoffs wake immediately instead
-        #: of sleeping out the whole exponential chain
-        self._stop_event = threading.Event()
 
     # ------------------------------------------------------------------
     def start(self) -> None:
@@ -121,63 +107,23 @@ class WorkerPool:
             self._executor.shutdown(wait=True)
             self._executor = None
 
-    @property
-    def inflight_count(self) -> int:
-        with self._inflight_lock:
-            return len(self._inflight)
+    def stats(self) -> Dict[str, Any]:
+        """This engine's section of the service's ``/stats``."""
+        section: Dict[str, Any] = {
+            "queue": {"depth": self._queue.depth,
+                      "capacity": self._queue.maxsize,
+                      "inflight": self.inflight_count},
+            "workers": self.num_workers,
+        }
+        if self.analysis_cache is not None:
+            section["analysis_cache"] = self.analysis_cache.stats()
+        return section
 
     # ------------------------------------------------------------------
-    def _tracer(self):
-        return self.tracer if self.tracer is not None else get_tracer()
+    def _enqueue(self, job: Job, span) -> None:
+        for dropped in self._queue.put(job):
+            self._cancelled(dropped)
 
-    def submit(self, job: Job) -> Job:
-        """Enqueue a job, dedup against cache and in-flight work.
-
-        Returns the job that actually tracks the result — the given one,
-        or the in-flight leader it was merged onto.  The span carries
-        the job id as its ``trace_id``, so one job's submit, queue,
-        attempt and cache-store spans correlate into one timeline.
-        """
-        with self._tracer().span("job.submit", trace_id=job.id,
-                                 key=job.key[:16]) as span:
-            cached = self._cache.get(job.key)
-            if cached is not None:
-                span.set("outcome", "cache_hit")
-                job.cache_hit = True
-                job.finish(cached)
-                self.metrics.counter("jobs.cache_hits").inc()
-                return job
-            failure = self._cache.get_failure(job.key)
-            if failure is not None:
-                # a fatal error is as deterministic as a report: fail
-                # immediately with the original error instead of
-                # re-running the compile/map pipeline to rediscover it
-                span.set("outcome", "negative_hit")
-                job.cache_hit = True
-                job.fail(self._revive_failure(failure))
-                self.metrics.counter("jobs.negative_hits").inc()
-                return job
-            with self._inflight_lock:
-                leader = self._inflight.get(job.key)
-                if leader is not None and not leader.done:
-                    leader.dedup_count += 1
-                    span.set("outcome", "deduplicated")
-                    span.set("merged_onto", leader.id)
-                    self.metrics.counter("jobs.deduplicated").inc()
-                    return leader
-                self._inflight[job.key] = job
-            try:
-                self._queue.put(job)
-            except QueueFullError:
-                self._drop_inflight(job)
-                span.set("outcome", "rejected")
-                self.metrics.counter("jobs.rejected").inc()
-                raise
-            span.set("outcome", "enqueued")
-            self.metrics.counter("jobs.submitted").inc()
-            return job
-
-    # ------------------------------------------------------------------
     def _worker_loop(self) -> None:
         while self._running:
             job = self._queue.get(timeout=_POLL_SECONDS)
@@ -186,64 +132,41 @@ class WorkerPool:
 
     def _execute(self, job: Job) -> None:
         if not job.mark_running():
-            # cancelled while queued
-            self._drop_inflight(job)
-            self.metrics.counter("jobs.cancelled").inc()
+            self._cancelled(job)
             return
         wait = job.queue_wait_seconds
         if wait is not None:
             self.metrics.histogram("queue.wait_seconds").observe(wait)
         tracer = self._tracer()
-        report = None
-        last_error: Optional[BaseException] = None
+        report = error = None
         with tracer.span("job.execute", trace_id=job.id,
                          key=job.key[:16]) as exec_span:
-            for attempt in range(job.max_retries + 1):
-                job.attempts = attempt + 1
+            while True:
+                job.attempts += 1
                 try:
                     # the attempt span records error=True + the
                     # exception type when the runner raises through it
                     with tracer.span("job.attempt", trace_id=job.id,
-                                     attempt=attempt + 1) as attempt_span:
+                                     attempt=job.attempts) as attempt_span:
                         report = self._run_attempt(job, attempt_span)
-                    last_error = None
-                    break
-                except self._fatal as exc:
-                    last_error = exc
-                    self._cache.put_failure(job.key, exc)
+                    error = None
                     break
                 except Exception as exc:
-                    last_error = exc
-                    if attempt < job.max_retries:
-                        self.metrics.counter("jobs.retries").inc()
-                        if self._stop_event.wait(
-                                self._backoff * (2 ** attempt)):
-                            break       # shutting down: give up now
-            # publish-then-unregister: followers either find the leader
-            # in flight or the result already in the cache — never
-            # neither
-            if last_error is None:
-                with tracer.span("cache.store", trace_id=job.id):
-                    self._cache.put(job.key, report)
-            self._drop_inflight(job)
+                    error, fatal = exc, isinstance(exc, self._fatal)
+                    if fatal or not self._retry(job):
+                        break
             exec_span.set("attempts", job.attempts)
-            if last_error is None:
+            if error is None:
                 exec_span.set("outcome", "succeeded")
             else:
                 exec_span.set("outcome", "failed")
-                exec_span.set("error", str(last_error))
-        # signal completion only after the span is closed and recorded,
-        # so a waiter that reads the trace right away sees the full job
-        if last_error is None:
-            job.finish(report)
-            self.metrics.counter("jobs.succeeded").inc()
-            self.metrics.histogram("service.seconds").observe(
-                job.service_seconds or 0.0)
+                exec_span.set("error", str(error))
+        # complete only after the span is closed and recorded, so a
+        # waiter that reads the trace right away sees the full job
+        if error is None:
+            self._succeed(job, report)
         else:
-            job.fail(last_error)
-            self.metrics.counter("jobs.failed").inc()
-            log.warning("job %s failed after %d attempt(s): %s",
-                        job.id, job.attempts, job.error)
+            self._fail(job, error, fatal)
 
     def _run_attempt(self, job: Job, parent_span=None):
         if job.timeout_seconds is None:
@@ -275,21 +198,3 @@ class WorkerPool:
         if error:
             raise error[0]
         return box[0]
-
-    def _revive_failure(self, failure: Tuple[str, str]) -> BaseException:
-        """Rebuild the original fatal error from a negative-cache entry.
-
-        The entry stores ``(type name, message)``; when the type is one
-        of the pool's fatal exception classes the error round-trips
-        exactly, otherwise a RuntimeError carries the original text.
-        """
-        type_name, message = failure
-        for cls in self._fatal:
-            if cls.__name__ == type_name:
-                return cls(message)
-        return RuntimeError(f"{type_name}: {message}")
-
-    def _drop_inflight(self, job: Job) -> None:
-        with self._inflight_lock:
-            if self._inflight.get(job.key) is job:
-                del self._inflight[job.key]

@@ -132,18 +132,6 @@ class TestArena:
 
 
 class TestScheduledExecution:
-    def test_forced_pool_matches_serial(self):
-        g = branchy_graph()
-        feeds = feeds_for(g)
-        serial = compile_plan(g, optimize=3, threads=1)
-        pooled = compile_plan(g, optimize=3, threads=3)
-        assert pooled.schedule.max_width >= 2
-        want = serial.run(feeds)
-        for _ in range(3):
-            got = pooled.run(feeds)
-            for name in want:
-                assert bit_equal(want[name], got[name]), name
-
     def test_exotic_fetch_falls_back_to_reference_path(self):
         g = mixed_graph()
         feeds = feeds_for(g)

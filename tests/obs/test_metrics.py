@@ -121,13 +121,3 @@ def test_render_text_still_flat():
 def test_default_registry_is_a_singleton():
     assert default_registry() is default_registry()
 
-
-# ----------------------------------------------------------------------
-# back-compat: the service module must keep re-exporting these
-# ----------------------------------------------------------------------
-def test_service_metrics_module_is_a_shim():
-    from repro.service import metrics as service_metrics
-    assert service_metrics.Counter is Counter
-    assert service_metrics.Gauge is Gauge
-    assert service_metrics.Histogram is Histogram
-    assert service_metrics.MetricsRegistry is MetricsRegistry

@@ -14,7 +14,7 @@ from repro.backends.base import UnsupportedModelError
 from repro.service.cache import ResultCache
 from repro.service.dispatch import (Dispatcher, HashRing, ShardBusyError,
                                     WorkerCrashError)
-from repro.service.metrics import MetricsRegistry
+from repro.obs.metrics import MetricsRegistry
 from repro.service.queue import Job, JobFailedError
 from repro.service.shard import ShardConfig
 

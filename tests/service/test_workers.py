@@ -6,7 +6,7 @@ import pytest
 
 from repro.backends.base import UnsupportedModelError
 from repro.service.cache import ResultCache
-from repro.service.metrics import MetricsRegistry
+from repro.obs.metrics import MetricsRegistry
 from repro.service.queue import Job, JobFailedError, JobQueue, JobStatus
 from repro.service.workers import WorkerPool
 
@@ -194,6 +194,18 @@ def test_cancelled_job_is_skipped_not_run(make_report):
         assert redo.result(timeout=5.0) is not None
     finally:
         pool.stop()
+
+
+def test_cancelled_jobs_compacted_from_a_full_queue_are_released(make_report):
+    """Compaction drops cancelled entries that no worker will pop; the
+    pool must still release their in-flight entries and count them."""
+    pool = make_pool(lambda request: make_report(), queue_size=2)
+    first = pool.submit(Job("j1", "k1", Request()))
+    second = pool.submit(Job("j2", "k2", Request()))
+    assert first.cancel() and second.cancel()
+    pool.submit(Job("j3", "k3", Request()))    # full: compacts both
+    assert pool.metrics.counter("jobs.cancelled").value == 2
+    assert pool.inflight_count == 1
 
 
 # ----------------------------------------------------------------------

@@ -8,7 +8,8 @@ derives from it.
 """
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional
+import weakref
+from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple
 
 from ..ir.fingerprint import node_fingerprint
 from ..ir.graph import Graph
@@ -17,7 +18,51 @@ from ..ir.shape_inference import infer_shapes
 from ..ir.tensor import DataType, TensorInfo
 from .opdefs import OpClass, OpCost, OpView, cost_of, operator_def
 
-__all__ = ["AnalyzedOp", "AnalyzeRepresentation", "ModelStats"]
+__all__ = ["AnalyzedOp", "AnalyzeRepresentation", "ModelStats", "OpContext"]
+
+
+class OpContext:
+    """What an analysis unit reads of its Analyze Representation.
+
+    Units hold this small per-AR object instead of the representation
+    itself: it references the graph, the tensor lookup, the precision
+    and the graph outputs, but no unit, so a representation and its
+    units form no reference cycle and a dropped profile is freed by
+    reference counting alone.  Units that outlive their representation
+    (a backend's truth units, re-timed by the profiler's assemble path)
+    still answer every query through it.
+
+    The layer store is reached through a weak reference: the store's
+    structure tier keeps finished entries, and so the ARs of those
+    entries, alive; a strong link back would close that loop.  When no
+    store is set, or it is gone, records are computed directly, with
+    bit-identical values.
+
+    ``fused`` memoizes, per (ordered member names, fold set), the
+    boundary io and group fingerprint of a fused unit as plain data, so
+    the backend's truth units and the layer mapping's units over the
+    same members compute them once.
+    """
+
+    __slots__ = ("graph", "tensor", "precision", "graph_outputs", "_store",
+                 "fused")
+
+    def __init__(self, graph: Graph, precision: DataType) -> None:
+        self.graph = graph
+        self.tensor = graph.tensor
+        self.precision = precision
+        self.graph_outputs = frozenset(graph.output_names)
+        self._store: Optional[weakref.ref] = None
+        #: (member names, folded names) -> [inputs, outputs, fingerprint]
+        self.fused: Dict[Tuple[Tuple[str, ...], FrozenSet[str]], list] = {}
+
+    @property
+    def layer_store(self):
+        return self._store() if self._store is not None else None
+
+    @layer_store.setter
+    def layer_store(self, store) -> None:
+        self._store = weakref.ref(store) if store is not None else None
 
 
 class AnalyzedOp:
@@ -33,15 +78,14 @@ class AnalyzedOp:
     still go through the store.
     """
 
-    __slots__ = ("node", "name", "_rep", "_layer_fp", "_class", "_cost")
+    __slots__ = ("node", "name", "_ctx", "_layer_fp", "_class", "_cost")
 
-    def __init__(self, node: Node, rep: "AnalyzeRepresentation",
-                 name: str) -> None:
+    def __init__(self, node: Node, ctx: OpContext, name: str) -> None:
         self.node = node
         #: the node's name, or a unique ``<op_type>#<topo index>``
         #: fallback for an unnamed node (assigned by the representation)
         self.name = name
-        self._rep = rep
+        self._ctx = ctx
         self._layer_fp: Optional[str] = None
         self._class: Optional[OpClass] = None
         self._cost: Optional[OpCost] = None
@@ -71,52 +115,54 @@ class AnalyzedOp:
         """Name-free structural fingerprint (memoized; see
         :func:`repro.ir.fingerprint.node_fingerprint`)."""
         if self._layer_fp is None:
+            ctx = self._ctx
             self._layer_fp = node_fingerprint(
-                self.node, self._rep.tensor,
-                self._rep.graph.initializers)
+                self.node, ctx.tensor, ctx.graph.initializers)
         return self._layer_fp
 
     def compute_class(self) -> OpClass:
         """Raw (uncached) operator classification."""
         return operator_def(self.node.op_type).classify(
-            OpView(self.node, self._rep.tensor))
+            OpView(self.node, self._ctx.tensor))
 
     def compute_cost(self, precision: DataType) -> OpCost:
         """Raw (uncached) cost prediction at ``precision``."""
-        return cost_of(self.node, self._rep.tensor, precision)
+        return cost_of(self.node, self._ctx.tensor, precision)
 
     def op_class(self) -> OpClass:
         if self._class is None:
-            self._class = stored_class(self, self._rep)
+            self._class = stored_class(self)
         return self._class
 
     def cost(self, precision: Optional[DataType] = None) -> OpCost:
-        return stored_cost(self, self._rep, precision)
+        return stored_cost(self, precision)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"AnalyzedOp({self.name!r}, {self.op_type})"
 
 
-def stored_class(unit, arep: "AnalyzeRepresentation") -> OpClass:
-    """``unit.compute_class()`` through ``arep``'s layer store, when it
-    has one (shared by :class:`AnalyzedOp` and ``FusedOp``)."""
-    store = arep.layer_store
+def stored_class(unit) -> OpClass:
+    """``unit.compute_class()`` through the layer store of the unit's
+    context, when it has one (shared by :class:`AnalyzedOp` and
+    ``FusedOp``)."""
+    store = unit._ctx.layer_store
     if store is None:
         return unit.compute_class()
     return store.record(("class", unit.layer_fingerprint()),
                         unit.compute_class)
 
 
-def stored_cost(unit, arep: "AnalyzeRepresentation",
-                precision: Optional[DataType]) -> OpCost:
-    """``unit.compute_cost(precision)`` through ``arep``'s layer store;
-    the cost at ``arep``'s own precision is kept in ``unit._cost``."""
-    own = precision is None or precision == arep.precision
+def stored_cost(unit, precision: Optional[DataType]) -> OpCost:
+    """``unit.compute_cost(precision)`` through the layer store of the
+    unit's context; the cost at the context's own precision is kept in
+    ``unit._cost``."""
+    ctx = unit._ctx
+    own = precision is None or precision == ctx.precision
     if own:
         if unit._cost is not None:
             return unit._cost
-        precision = arep.precision
-    store = arep.layer_store
+        precision = ctx.precision
+    store = ctx.layer_store
     if store is None:
         cost = unit.compute_cost(precision)
     else:
@@ -171,21 +217,19 @@ class AnalyzeRepresentation:
             infer_shapes(graph)
         self.graph = graph
         self.precision = precision
-        #: optional :class:`repro.analysis.layerstore.LayerStore` — set
-        #: by the analysis cache to share per-op cost/class records (and,
-        #: through the backend compile that is handed this AR, latency
-        #: records) across models and sweep configs
-        self.layer_store = None
+        #: what the units read of this representation (see
+        #: :class:`OpContext`); they hold it, never the representation
+        self.context = ctx = OpContext(graph, precision)
         #: graph output names, for the "does this tensor escape" checks
         #: of fusion planning and fused-op io
-        self.graph_outputs = frozenset(graph.output_names)
+        self.graph_outputs = ctx.graph_outputs
         nodes = graph.toposort()
         taken = {n.name for n in nodes if n.name}
         self.ops: List[AnalyzedOp] = []
         self._by_output: Dict[str, AnalyzedOp] = {}
         self._by_name: Dict[str, AnalyzedOp] = {}
         for index, node in enumerate(nodes):
-            op = AnalyzedOp(node, self, node.name
+            op = AnalyzedOp(node, ctx, node.name
                             or _fallback_name(node, index, taken))
             self.ops.append(op)
             for out in node.outputs:
@@ -196,6 +240,19 @@ class AnalyzeRepresentation:
         for op in self.ops:
             if not op.node.name:
                 self._by_name.setdefault(op.op_type, op)
+
+    @property
+    def layer_store(self):
+        """Optional :class:`repro.analysis.layerstore.LayerStore` — set
+        by the analysis cache to share per-op cost/class records (and,
+        through the backend compile that is handed this AR, latency
+        records) across models and sweep configs.  Held weakly (see
+        :class:`OpContext`)."""
+        return self.context.layer_store
+
+    @layer_store.setter
+    def layer_store(self, store) -> None:
+        self.context.layer_store = store
 
     # -- tensor info -------------------------------------------------------
     def tensor(self, name: str) -> TensorInfo:

@@ -15,8 +15,8 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tupl
 from ..ir.fingerprint import group_fingerprint
 from ..ir.node import Node
 from ..ir.tensor import DataType, TensorInfo
-from .arep import (AnalyzedOp, AnalyzeRepresentation, stored_class,
-                   stored_cost)
+from .arep import (AnalyzedOp, AnalyzeRepresentation, OpContext,
+                   stored_class, stored_cost)
 from .opdefs import OpClass, OpCost, OpView, operator_def
 
 __all__ = ["FusedOp", "OptimizedAnalyzeRepresentation", "MappingError"]
@@ -25,6 +25,25 @@ __all__ = ["FusedOp", "OptimizedAnalyzeRepresentation", "MappingError"]
 class MappingError(RuntimeError):
     """Raised when backend-layer information cannot be reconciled with
     the model graph."""
+
+
+def fused_io(ctx: OpContext, nodes: Sequence[Node]
+             ) -> Tuple[List[str], List[str]]:
+    """Boundary tensors of a fused group: inputs no member produces, in
+    first-appearance order, and member outputs read outside the group
+    or returned by the graph."""
+    produced = {t for n in nodes for t in n.outputs}
+    # dicts keep first-appearance order: member order, then slot order
+    ext_inputs = dict.fromkeys(
+        t for n in nodes for t in n.inputs if t and t not in produced)
+    graph_outputs = ctx.graph_outputs
+    graph_consumers = ctx.graph.consumer_map()
+    member_ids = {id(n) for n in nodes}
+    ext_outputs = dict.fromkeys(
+        t for n in nodes for t in n.outputs
+        if t in graph_outputs or any(
+            id(c) not in member_ids for c in graph_consumers.get(t, ())))
+    return list(ext_inputs), list(ext_outputs)
 
 
 class FusedOp:
@@ -38,39 +57,32 @@ class FusedOp:
     the members' weights) touch DRAM.
     """
 
-    __slots__ = ("members", "_rep", "name", "folded", "_io", "_layer_fp",
-                 "_class", "_cost")
+    __slots__ = ("members", "_ctx", "name", "folded", "_record", "_class",
+                 "_cost")
 
     def __init__(self, members: Sequence[AnalyzedOp], rep: "OptimizedAnalyzeRepresentation",
                  name: str = "", folded: Iterable[str] = ()) -> None:
         if not members:
             raise MappingError("cannot fuse an empty op set")
         self.members: List[AnalyzedOp] = list(members)
-        self._rep = rep
+        # the AR's context, not ``rep``: the OAR holds its units, so a
+        # link back would form a cycle (see ``OpContext``)
+        self._ctx: OpContext = rep.arep.context
         self.name = name or "+".join(m.name for m in self.members[:4])
         #: names of member nodes whose FLOP the backend folded away
         self.folded: Set[str] = set(folded)
-        self._io = self._compute_io()
-        self._layer_fp: Optional[str] = None
+        # io and fingerprint depend only on the ordered members and the
+        # fold set, so every unit over them shares one plain-data record:
+        # [external inputs, external outputs, fingerprint or None]
+        key = (tuple(m.name for m in self.members), frozenset(self.folded))
+        record = self._ctx.fused.get(key)
+        if record is None:
+            record = self._ctx.fused.setdefault(
+                key, [*fused_io(self._ctx, self.member_nodes), None])
+        self._record: list = record
         #: class, and cost at the AR's precision (see ``AnalyzedOp``)
         self._class: Optional[OpClass] = None
         self._cost: Optional[OpCost] = None
-
-    def _compute_io(self) -> Tuple[List[str], List[str]]:
-        nodes = [m.node for m in self.members]
-        produced = {t for n in nodes for t in n.outputs}
-        # dicts keep first-appearance order: member order, then slot order
-        ext_inputs = dict.fromkeys(
-            t for n in nodes for t in n.inputs if t and t not in produced)
-        arep = self._rep.arep
-        graph_outputs = arep.graph_outputs
-        graph_consumers = arep.graph.consumer_map()
-        member_ids = {id(n) for n in nodes}
-        ext_outputs = dict.fromkeys(
-            t for n in nodes for t in n.outputs
-            if t in graph_outputs or any(
-                id(c) not in member_ids for c in graph_consumers.get(t, ())))
-        return list(ext_inputs), list(ext_outputs)
 
     # -- AnalyzedOp-compatible interface ------------------------------------
     @property
@@ -79,11 +91,11 @@ class FusedOp:
 
     @property
     def inputs(self) -> List[str]:
-        return list(self._io[0])
+        return list(self._record[0])
 
     @property
     def outputs(self) -> List[str]:
-        return list(self._io[1])
+        return list(self._record[1])
 
     @property
     def member_nodes(self) -> List[Node]:
@@ -100,18 +112,19 @@ class FusedOp:
         everything :meth:`cost`/:meth:`op_class` read, so equal
         fingerprints imply bit-identical records (see
         :func:`repro.ir.fingerprint.group_fingerprint`)."""
-        if self._layer_fp is None:
-            self._layer_fp = group_fingerprint(
-                [m.node for m in self.members],
-                external_outputs=self._io[1],
+        record = self._record
+        if record[2] is None:
+            record[2] = group_fingerprint(
+                self.member_nodes,
+                external_outputs=record[1],
                 folded_indices=[i for i, m in enumerate(self.members)
                                 if m.name in self.folded],
                 node_fps=[m.layer_fingerprint() for m in self.members])
-        return self._layer_fp
+        return record[2]
 
     def op_class(self) -> OpClass:
         if self._class is None:
-            self._class = stored_class(self, self._rep.arep)
+            self._class = stored_class(self)
         return self._class
 
     def compute_class(self) -> OpClass:
@@ -136,23 +149,25 @@ class FusedOp:
         return klass
 
     def cost(self, precision: Optional[DataType] = None) -> OpCost:
-        return stored_cost(self, self._rep.arep, precision)
+        return stored_cost(self, precision)
 
     def compute_cost(self, precision: DataType) -> OpCost:
         """Raw (uncached) fused-cost computation at ``precision``."""
         internal = self._internal_tensors()
+        tensor = self._ctx.tensor
+        graph = self._ctx.graph
         flop = 0.0
         reads: Dict[str, float] = {}
         writes: Dict[str, float] = {}
         for m in self.members:
-            view = OpView(m.node, self._rep.arep.tensor, precision)
+            view = OpView(m.node, tensor, precision)
             opdef = operator_def(m.op_type)
             if m.name not in self.folded:
                 flop += opdef.flop(view)
             for t, b in opdef.read_bytes(view).items():
                 if t in internal:
                     continue
-                if m.name in self.folded and self._rep.arep.graph.is_initializer(t):
+                if m.name in self.folded and graph.is_initializer(t):
                     continue  # folded weights merged into another member's
                 reads[t] = max(reads.get(t, 0.0), b)
             for t, b in opdef.write_bytes(view).items():
@@ -162,7 +177,7 @@ class FusedOp:
         return OpCost(flop, sum(reads.values()), sum(writes.values()))
 
     def _internal_tensors(self) -> Set[str]:
-        ext_in, ext_out = self._io
+        ext_out = self._record[1]
         produced: Set[str] = set()
         for m in self.members:
             produced.update(m.outputs)

@@ -7,6 +7,7 @@ batch programmatically.
 """
 from __future__ import annotations
 
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Union
@@ -115,7 +116,8 @@ def sweep_batch_sizes(
     """Profile ``build(batch)`` across batch sizes (and precisions).
 
     ``build`` is a callable like ``lambda bs: build_model("resnet50",
-    batch_size=bs)``; each batch gets a fresh graph and a full PRoof run.
+    batch_size=bs)``; it runs once per batch size, and every precision's
+    point at that batch profiles the same graph (a full PRoof run each).
 
     ``precisions`` sweeps several deployment precisions in one call
     (overriding ``precision``); points cover the full precision × batch
@@ -128,7 +130,8 @@ def sweep_batch_sizes(
     run lands in :attr:`BatchSweep.cache_stats`.
 
     ``jobs > 1`` profiles sweep points on a thread pool.  Each point is
-    independent (fresh graph, one profile call) and the profiler's
+    one profile call over its batch's shared graph (profiling only
+    fills the graph's own caches, idempotently) and the profiler's
     analysis cache is already thread-safe, so points parallelize
     cleanly; results come back in input order regardless of completion
     order.  Each point runs under a ``sweep.point`` span parented to
@@ -149,6 +152,15 @@ def sweep_batch_sizes(
     stats_before = cache.stats() if cache is not None else None
     tracer = get_tracer()
     tasks = [(profiler, bs) for profiler in profilers for bs in batch_sizes]
+    graphs: Dict[int, Graph] = {}
+    build_lock = threading.Lock()
+
+    def graph_for(bs: int) -> Graph:
+        # built by the first point that needs it, inside its span
+        with build_lock:
+            if bs not in graphs:
+                graphs[bs] = build(bs)
+            return graphs[bs]
 
     with tracer.span("sweep", points=len(tasks), jobs=jobs) as root:
         # cross-thread spans need an explicit parent: the worker thread
@@ -160,7 +172,7 @@ def sweep_batch_sizes(
             profiler, bs = task
             with tracer.span("sweep.point", parent=parent, batch=bs,
                              precision=profiler.precision.value):
-                report: ProfileReport = profiler.profile(build(bs))
+                report: ProfileReport = profiler.profile(graph_for(bs))
                 e = report.end_to_end
                 return SweepPoint(
                     batch_size=bs,

@@ -1,20 +1,54 @@
 """Content fingerprints for graphs and reports.
 
 ``graph_fingerprint`` assigns a graph a deterministic, content-addressed
-identity: the hash covers the interface tensors, every initializer's
-metadata and payload digest, and every node's type, wiring and
-attributes.  It is independent of incidental ordering — attribute and
-initializer dictionaries are canonicalized, and nodes are hashed in a
-*canonical* topological order, so two graphs whose node lists merely
-permute the same dataflow hash identically.  Virtual (weight-only)
-initializers contribute their shape/dtype metadata; their absent payload
-hashes as such, matching the serializer's treatment.
+identity: the hash covers the graph name, the interface tensors, every
+initializer's metadata and payload, and every node's type, name,
+wiring and attributes.  It is independent of incidental ordering —
+attributes and initializers are sorted, and nodes are hashed in
+``_node_key`` order (op type, name, outputs; output names are unique, so
+this is a total order), so two graphs whose node lists merely permute
+the same dataflow hash identically.  Virtual (weight-only) initializers
+contribute their shape/dtype metadata; their absent payload hashes as
+such, matching the serializer's treatment.  A cyclic graph, or one
+that reads an undefined tensor, raises :class:`~repro.ir.graph.GraphError`
+(the check is the graph's cached ``toposort()``, which every analysis
+of the graph needs anyway).
 
 ``report_digest`` does the same for a :class:`ProfileReport` (duck-typed
 via ``to_dict`` so :mod:`repro.ir` stays independent of
 :mod:`repro.core`): two runs are provably bit-identical when their
 digests match, which is how the profiling service proves that a cached
 result equals a fresh ``Profiler.profile`` call.
+
+Encoding
+--------
+
+Every fingerprint hashes one tuple document with one SHA-256 over
+``marshal.dumps(doc, 2)``.  Marshal version 2 is the newest format with
+no back-references and no interned-string type code, so its bytes
+depend only on the document's values — not on object identity,
+reference counts or string interning — and stay equal across processes
+and hash seeds.  Documents hold only tuples, ``None``, ``bool``,
+``int``, ``float``, ``str`` and ``bytes``; an attribute value of a
+subclass (a numpy scalar set after construction, say) hashes as its
+plain value.  Constant payloads are fed into the same hash after the
+document, whose ``(dtype, shape)`` per payload fixes each one's length.
+
+Graph fingerprint versions
+--------------------------
+
+:data:`FINGERPRINT_VERSION` 1 hashed a canonical JSON document over a
+heap-ordered topological walk, with a separate digest per payload.
+Version 2 hashes the same facts through the encoding above, so v1 and
+v2 split graphs into the same equality classes (the test suite checks
+this over the zoo, the fuzz corpus and the regression corpus against
+the kept v1 reference), but every digest changes once.  The version is
+part of the hashed document, and the graph fingerprint is part of every
+service request key (:func:`repro.service.fingerprint.request_fingerprint`),
+so on upgrade request keys change once, disk ``ResultCache`` entries
+written under v1 miss instead of aliasing, and fleet shard routing
+re-keys once.  The key stays name-sensitive: reports carry layer names,
+so a renamed graph must not share a report.
 
 Layer-granular fingerprints
 ---------------------------
@@ -31,29 +65,25 @@ shape, which inputs are initializers, fold markers, the member order a
 fused cost sums over, internal-vs-boundary wiring) is part of the hash,
 so equal fingerprints imply bit-identical analysis.
 
-Layer fingerprints are in-process keys, hashed once per layer on every
-cold profile, so they skip JSON: a node document is a tuple (op type,
-sorted attributes, ``(shape, dtype)`` plus initializer-ness per input,
-``(shape, dtype)`` per output) hashed as
-``sha256(repr((LAYER_FINGERPRINT_VERSION, doc)))``.  They are also
-*compositional*: a group fingerprint hashes its members' node
-fingerprints (which :class:`~repro.analysis.arep.AnalyzedOp` memoizes)
-together with the group's local wiring ids, external outputs and fold
-markers, so fusing a group never re-reads its member tensors.
-``graph_fingerprint`` keeps its canonical JSON document: request keys
-and fleet routing are derived from it, so its bytes must not change.
+A node document is a tuple (op type, sorted attributes, ``(shape,
+dtype)`` plus initializer-ness per input, ``(shape, dtype)`` per
+output) hashed with :data:`LAYER_FINGERPRINT_VERSION` through the
+encoding above (version 2 hashed ``repr`` of the same tuple).  Layer
+fingerprints are also *compositional*: a group fingerprint hashes its
+members' node fingerprints (which :class:`~repro.analysis.arep.AnalyzedOp`
+memoizes) together with the group's local wiring ids, external outputs
+and fold markers, so fusing a group never re-reads its member tensors.
 """
 from __future__ import annotations
 
 import hashlib
-import heapq
 import json
-from collections import defaultdict
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+import marshal
+from typing import Any, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .graph import Graph, GraphError
+from .graph import Graph
 from .node import Node
 from .tensor import TensorInfo
 
@@ -63,11 +93,15 @@ __all__ = ["graph_fingerprint", "report_digest", "array_digest",
 
 #: bump when the canonical document layout changes — old cache entries
 #: must not alias new ones
-FINGERPRINT_VERSION = 1
+FINGERPRINT_VERSION = 2
 
 #: separate version for the layer-granular (node/group/tensor)
 #: fingerprints — bump when *their* canonical layout changes
-LAYER_FINGERPRINT_VERSION = 2
+LAYER_FINGERPRINT_VERSION = 3
+
+#: the marshal format version documents are encoded with (see the
+#: module docstring: the newest one whose bytes ignore interning)
+_MARSHAL_VERSION = 2
 
 
 def array_digest(a: np.ndarray) -> str:
@@ -79,51 +113,54 @@ def array_digest(a: np.ndarray) -> str:
     return h.hexdigest()
 
 
-def _info_doc(t: TensorInfo) -> List[Any]:
-    return [t.name, list(t.shape), t.dtype.value]
+#: the exact types of scalar attribute values (see :mod:`repro.ir.node`)
+_SCALARS = frozenset((bool, int, float, str))
 
 
-def _attr_doc(v: Any) -> Any:
+def _attr_scalar(v: Any) -> Any:
+    """Exact-type form of one scalar attribute value.  Marshal writes a
+    numpy scalar through its buffer, as ``bytes``, and refuses other
+    subclasses, so only exact builtins may reach the encoder; a
+    subclass hashes as its plain value, as it does in JSON."""
+    if type(v) in _SCALARS:
+        return v
+    if isinstance(v, np.generic):
+        return _attr_scalar(v.item())
+    if isinstance(v, str):
+        return str.__str__(v)
+    for base in (int, float):       # bool cannot be subclassed
+        if isinstance(v, base):
+            return base(v)
+    raise TypeError(f"cannot fingerprint a {type(v).__name__} attribute")
+
+
+def _attr_value(v: Any) -> Any:
+    """Hashable form of one attribute value (a scalar, a flat list of
+    scalars or an array; see :mod:`repro.ir.node`).  Lists and tuples
+    hash alike, as in JSON; an array hashes as its digest in ``bytes``,
+    a type no attribute value has."""
+    if type(v) in _SCALARS:
+        return v
     if isinstance(v, np.ndarray):
-        return {"__ndarray__": array_digest(v)}
-    return v
+        return array_digest(v).encode("ascii")
+    if isinstance(v, (list, tuple)):
+        if _SCALARS.issuperset(map(type, v)):
+            return tuple(v)
+        return tuple(map(_attr_scalar, v))
+    return _attr_scalar(v)
+
+
+def _attrs_doc(attrs: Dict[str, Any]) -> Tuple:
+    return tuple(sorted((k, _attr_value(v)) for k, v in attrs.items()))
+
+
+def _info_doc(t: TensorInfo) -> Tuple:
+    return (t.name, t.shape, t.dtype.value)
 
 
 def _node_key(node: Node) -> Tuple[str, str, Tuple[str, ...]]:
     # output names are unique graph-wide, so this totally orders nodes
     return (node.op_type, node.name, tuple(node.outputs))
-
-
-def _canonical_order(graph: Graph) -> List[Node]:
-    """Topological order with ties broken by node content, not list
-    position (Kahn's algorithm over a heap)."""
-    producers = graph.producer_map()
-    available = set(graph.input_names) | set(graph.initializers)
-    indegree: Dict[int, int] = {}
-    dependents: Dict[str, List[Node]] = defaultdict(list)
-    ready: List[Tuple[Tuple[str, str, Tuple[str, ...]], int, Node]] = []
-    for node in graph.nodes:
-        missing = [i for i in node.present_inputs
-                   if i not in available and i in producers]
-        indegree[id(node)] = len(missing)
-        for m in missing:
-            dependents[m].append(node)
-        if not missing:
-            ready.append((_node_key(node), id(node), node))
-    heapq.heapify(ready)
-    order: List[Node] = []
-    while ready:
-        _, _, node = heapq.heappop(ready)
-        order.append(node)
-        for out in node.outputs:
-            for w in dependents.get(out, []):
-                indegree[id(w)] -= 1
-                if indegree[id(w)] == 0:
-                    heapq.heappush(ready, (_node_key(w), id(w), w))
-    if len(order) != len(graph.nodes):
-        raise GraphError(
-            f"graph {graph.name!r} contains a cycle; cannot fingerprint")
-    return order
 
 
 def _canonical_bytes(doc: Any) -> bytes:
@@ -142,23 +179,33 @@ def graph_fingerprint(graph: Graph) -> str:
     cached = graph._fingerprint_cache
     if cached is not None:
         return cached
-    doc = {
-        "version": FINGERPRINT_VERSION,
-        "name": graph.name,
-        "inputs": [_info_doc(t) for t in graph.inputs],
-        "outputs": [_info_doc(t) for t in graph.outputs],
-        "initializers": [
-            [name, _info_doc(init.info),
-             None if init.data is None else array_digest(init.data)]
-            for name, init in sorted(graph.initializers.items())
-        ],
-        "nodes": [
-            [n.op_type, n.name, list(n.inputs), list(n.outputs),
-             {k: _attr_doc(v) for k, v in n.attrs.items()}]
-            for n in _canonical_order(graph)
-        ],
-    }
-    digest = hashlib.sha256(_canonical_bytes(doc)).hexdigest()
+    graph.toposort()          # GraphError on a cycle; cached for later
+    initializers = []
+    payloads = []
+    for name, init in sorted(graph.initializers.items()):
+        data = init.data
+        if data is None:
+            initializers.append((name, _info_doc(init.info), None))
+        else:
+            # ``dtype.str`` (byte order, kind, itemsize) is as distinct
+            # as ``str(dtype)`` and ten times cheaper
+            initializers.append((name, _info_doc(init.info),
+                                 (data.dtype.str, data.shape)))
+            payloads.append(data)
+    doc = (
+        FINGERPRINT_VERSION,
+        graph.name,
+        tuple(_info_doc(t) for t in graph.inputs),
+        tuple(_info_doc(t) for t in graph.outputs),
+        tuple(initializers),
+        tuple((n.op_type, n.name, tuple(n.inputs), tuple(n.outputs),
+               _attrs_doc(n.attrs))
+              for n in sorted(graph.nodes, key=_node_key)),
+    )
+    h = hashlib.sha256(marshal.dumps(doc, _MARSHAL_VERSION))
+    for data in payloads:
+        h.update(data if data.flags.c_contiguous else data.tobytes())
+    digest = h.hexdigest()
     graph._fingerprint_cache = digest
     return digest
 
@@ -166,21 +213,9 @@ def graph_fingerprint(graph: Graph) -> str:
 # ----------------------------------------------------------------------
 # layer-granular fingerprints (the cross-model layer-store keys)
 # ----------------------------------------------------------------------
-def _layer_digest(doc: Any) -> str:
-    return hashlib.sha256(repr((LAYER_FINGERPRINT_VERSION, doc))
-                          .encode("utf-8")).hexdigest()
-
-
-def _attr_value(v: Any) -> Any:
-    """Hashable form of one attribute value (a scalar, a flat list of
-    scalars or an array; see :mod:`repro.ir.node`).  Lists and tuples
-    hash alike, as in JSON; an array hashes as its digest in ``bytes``,
-    a type no attribute value has."""
-    if isinstance(v, np.ndarray):
-        return array_digest(v).encode("ascii")
-    if isinstance(v, (list, tuple)):
-        return tuple(v)
-    return v
+def _layer_digest(doc: Tuple) -> str:
+    return hashlib.sha256(marshal.dumps(
+        (LAYER_FINGERPRINT_VERSION, doc), _MARSHAL_VERSION)).hexdigest()
 
 
 def _tensor_doc(name: str, info_fn: Any) -> Any:
@@ -202,7 +237,7 @@ def _node_doc(node: Node, info_fn: Any, initializers: Any) -> Tuple:
     """
     return (
         node.op_type,
-        tuple(sorted((k, _attr_value(v)) for k, v in node.attrs.items())),
+        _attrs_doc(node.attrs),
         tuple((_tensor_doc(t, info_fn), t in initializers) if t else None
               for t in node.inputs),
         tuple(_tensor_doc(t, info_fn) for t in node.outputs),

@@ -11,7 +11,10 @@ Backend compile also used to build a second Analyze Representation, so
 every node was fingerprinted twice and fused groups re-read their
 members' tensors; the per-layer counters below pin one AR per profile,
 at most one node fingerprint per node, and group fingerprints composed
-from the members' memoized ones.
+from the members' memoized ones.  The backend's truth units and the
+layer mapping's units often fuse the same members; their boundary io
+and group fingerprint are computed once per distinct (ordered members,
+fold set), not once per unit.
 """
 from collections import Counter
 
@@ -21,7 +24,7 @@ import repro.analysis.oarep as oarep_module
 import repro.ir.fingerprint as fingerprint_module
 from repro.analysis.arep import AnalyzeRepresentation
 from repro.analysis.cache import AnalysisCache
-from repro.analysis.oarep import OptimizedAnalyzeRepresentation
+from repro.analysis.oarep import FusedOp, OptimizedAnalyzeRepresentation
 from repro.core.profiler import Profiler
 from repro.ir.graph import Graph
 from repro.ir.tensor import DataType
@@ -78,13 +81,18 @@ def test_whole_graph_builds_independent_of_layer_count(backend, builds):
 
 @pytest.fixture
 def analyses(monkeypatch):
-    """Count AR constructions, node fingerprints, and the node documents
-    built while a group fingerprint is being computed."""
+    """Count AR constructions, node fingerprints, the node documents
+    built while a group fingerprint is being computed, fused-unit io
+    computations and group fingerprints; ``counts.fused_keys`` collects
+    the distinct (ordered members, fold set) of every fused unit."""
     counts: Counter = Counter()
+    counts.fused_keys = set()
     in_group = []
     ar_init = AnalyzeRepresentation.__init__
     node_doc = fingerprint_module._node_doc
     group_fp = oarep_module.group_fingerprint
+    fused_io = oarep_module.fused_io
+    fused_init = FusedOp.__init__
 
     def counting_ar_init(self, *args, **kwargs):
         counts["arep"] += 1
@@ -96,15 +104,28 @@ def analyses(monkeypatch):
         return node_doc(*args, **kwargs)
 
     def counting_group_fp(*args, **kwargs):
+        counts["group_fp"] += 1
         in_group.append(True)
         try:
             return group_fp(*args, **kwargs)
         finally:
             in_group.pop()
 
+    def counting_fused_io(*args, **kwargs):
+        counts["fused_io"] += 1
+        return fused_io(*args, **kwargs)
+
+    def recording_fused_init(self, members, rep, name="", folded=()):
+        folded = frozenset(folded)
+        counts["fused_units"] += 1
+        counts.fused_keys.add((tuple(m.name for m in members), folded))
+        fused_init(self, members, rep, name=name, folded=folded)
+
     monkeypatch.setattr(AnalyzeRepresentation, "__init__", counting_ar_init)
     monkeypatch.setattr(fingerprint_module, "_node_doc", counting_node_doc)
     monkeypatch.setattr(oarep_module, "group_fingerprint", counting_group_fp)
+    monkeypatch.setattr(oarep_module, "fused_io", counting_fused_io)
+    monkeypatch.setattr(FusedOp, "__init__", recording_fused_init)
     return counts
 
 
@@ -120,3 +141,8 @@ def test_each_layer_analysed_once_per_cold_profile(backend, cached,
     assert analyses["arep"] == 1
     assert 0 < analyses["node_doc"] <= len(graph.nodes)
     assert analyses["group_node_doc"] == 0
+    # truth and mapped units over the same members share one record
+    distinct = len(analyses.fused_keys)
+    assert 0 < distinct < analyses["fused_units"]
+    assert analyses["fused_io"] == distinct
+    assert analyses["group_fp"] == distinct

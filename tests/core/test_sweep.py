@@ -1,6 +1,7 @@
 """Batch-sweep utility tests."""
 import pytest
 
+from repro.analysis.cache import AnalysisCache
 from repro.core.report import ProfileReport
 from repro.core.sweep import BatchSweep, SweepPoint, sweep_batch_sizes
 from repro.models import shufflenet_v2, shufflenet_v2_modified
@@ -94,6 +95,30 @@ class TestParallelSweep:
         assert [p.batch_size for p in threaded.points] == list(self.BATCHES)
         assert threaded.points == serial.points    # frozen dataclasses
         assert threaded.model_name == serial.model_name
+
+    def test_threaded_precision_sweep_shares_one_graph_per_batch(self):
+        """Every precision's point at a batch profiles one shared graph;
+        sibling precisions assemble from the first one's structure,
+        re-timing its truth units after its OAR is gone."""
+        built = []
+
+        def build(bs):
+            built.append(bs)
+            return self.build(bs)
+
+        precisions = ("fp32", "fp16", "int8")
+        serial = sweep_batch_sizes(self.build, batch_sizes=(1, 4),
+                                   precisions=precisions,
+                                   analysis_cache=AnalysisCache())
+        threaded = sweep_batch_sizes(build, batch_sizes=(1, 4),
+                                     precisions=precisions, jobs=2,
+                                     analysis_cache=AnalysisCache())
+        assert sorted(built) == [1, 4]
+        assert len(threaded.points) == len(precisions) * 2
+        assert threaded.points == serial.points
+        # two workers take points in order, so whichever of the first
+        # two finishes first donates to a later point at its batch
+        assert threaded.cache_stats["structure"]["hits"] > 0
 
     def test_more_jobs_than_points_is_fine(self):
         sweep = sweep_batch_sizes(self.build, batch_sizes=(1, 2), jobs=16)

@@ -8,7 +8,7 @@ from repro.core.profiler import Profiler
 from repro.core.report import ProfileReport
 from repro.ir.builder import GraphBuilder
 from repro.ir.fingerprint import array_digest, graph_fingerprint, report_digest
-from repro.ir.graph import Graph
+from repro.ir.graph import Graph, GraphError
 from repro.ir.node import Node
 from repro.ir.serialization import from_json, to_json
 from repro.ir.tensor import DataType, Initializer, TensorInfo
@@ -108,6 +108,27 @@ def test_fingerprint_sensitive_to_graph_name():
     g1, g2 = small_model(), small_model()
     g2.name = "renamed"
     assert graph_fingerprint(g1) != graph_fingerprint(g2)
+
+
+def test_fingerprint_of_cyclic_graph_raises():
+    g = Graph("cyc", inputs=[TensorInfo("x", (1,))],
+              outputs=[TensorInfo("b", (1,))])
+    g.add_node(Node("Add", ["x", "b"], ["a"]))
+    g.add_node(Node("Relu", ["a"], ["b"]))
+    with pytest.raises(GraphError, match="cycle"):
+        graph_fingerprint(g)
+
+
+def test_fingerprint_hashes_numeric_subclasses_as_their_value():
+    """An attribute set after construction may be a numpy scalar that
+    subclasses ``float``; it hashes like the plain value, as in JSON,
+    alone or in a list (marshal would write it as ``bytes``)."""
+    g1, g2 = small_model(), small_model()
+    for g, value in ((g1, 0.5), (g2, np.float64(0.5))):
+        conv = next(n for n in g.nodes if n.op_type == "Conv")
+        conv.attrs["alpha"] = value
+        conv.attrs["scales"] = [value, 2.0]
+    assert graph_fingerprint(g1) == graph_fingerprint(g2)
 
 
 def test_array_digest_covers_dtype_and_shape():
@@ -247,7 +268,7 @@ def test_layer_fingerprints_carry_version_and_kind_prefix():
     """node/group/tensor docs hash under distinct kind tags plus the
     format version, so tiers can never alias and a format bump
     invalidates stale cross-process stores."""
-    assert LAYER_FINGERPRINT_VERSION == 2
+    assert LAYER_FINGERPRINT_VERSION == 3
     g = _conv_graph("a", "x", "c")
     arep = AnalyzeRepresentation(g, DataType.FLOAT16)
     conv = next(n for n in g.nodes if n.op_type == "Conv")

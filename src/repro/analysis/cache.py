@@ -15,8 +15,9 @@ content-addressed keys built from :func:`~repro.ir.fingerprint.graph_fingerprint
 =========  ==========================================  ===================
 tier       key                                         value
 =========  ==========================================  ===================
-shapes     ``fp``                                      ``value_info`` map
-arep       ``fp, precision``                           AR
+shapes     ``fp``                                      the one held graph,
+                                                       shape-inferred
+arep       ``fp, precision``                           AR over held graph
 mapped     ``fp, backend, spec, precision``            compiled + AR + OAR
                                                        + mapped layers
 plan       ``fp, seed, pipeline-fingerprint``          ExecutionPlan
@@ -50,9 +51,18 @@ stays independent of :mod:`repro.core`.
 Sharing a cached AR/OAR across profiler calls is sound because both are
 read-only after mapping; sharing across *graph objects* is sound
 because equal fingerprints imply equal structure and the analysis never
-reads materialized weight values.  All tiers are guarded by one lock;
+reads materialized weight values.  The cache therefore holds exactly
+one graph per fingerprint: the ``shapes`` tier keeps the first graph
+seen (a later request without a tensor table gets a copy of its
+table), every precision's AR is built over that graph, and a mapped
+entry's compiled model — built or assembled — sits on its AR's graph.
+No tier refers to a request's own graph unless it was the first, so a
+request graph is freed by reference counting once its caller drops it.
+The ``plan`` tier is the exception: plans still run on (and write
+weights onto) the caller's graph.  All tiers are guarded by one lock;
 concurrent misses on the same key may build twice (last write wins with
-an equivalent value) but never block each other on dict access.
+an equivalent value) but never block each other on dict access, and
+the first graph seeded for a fingerprint is never replaced.
 
 :meth:`mapped_entry` additionally takes an ``assemble`` callback: on a
 ``mapped`` miss whose precision-free *structure* is already known (a
@@ -192,48 +202,48 @@ class AnalysisCache:
         return graph_fingerprint(graph)
 
     def ensure_shapes(self, graph: Graph) -> str:
-        """Fill ``graph.value_info`` (cached per fingerprint); return fp.
+        """Fill ``graph.value_info`` (cached per fingerprint); return fp."""
+        return self._held(graph)[0]
 
-        A hit installs the memoized tensor table on ``graph`` without
-        re-running inference; :class:`~repro.ir.tensor.TensorInfo` is
+    def _held(self, graph: Graph) -> Tuple[str, Graph]:
+        """Fingerprint of ``graph`` and the one graph held for it.
+
+        The ``shapes`` tier keeps the first graph seen per fingerprint,
+        shape-inferred.  A hit gives ``graph`` without a tensor table a
+        copy of the held one; :class:`~repro.ir.tensor.TensorInfo` is
         immutable, so the infos themselves are shared.
         """
         fp = self.fingerprint(graph)
-        if graph.value_info:
-            # already inferred — still a tier lookup, so it must count:
-            # a present entry is a hit, seeding it here is the miss that
-            # lets sibling graphs hit later
-            with self._lock:
-                entries = self._tiers["shapes"]
-                if (fp,) in entries:
-                    entries.move_to_end((fp,))
-                    self._hits["shapes"] += 1
-                    self._hit_counters["shapes"].inc()
-                else:
-                    entries[(fp,)] = graph.value_info
-                    self._misses["shapes"] += 1
-                    self._miss_counters["shapes"].inc()
-            return fp
-        hit, info = self._get("shapes", (fp,))
+        hit, held = self._get("shapes", (fp,))
         if hit:
-            graph.value_info = dict(info)
-            return fp
-        infer_shapes(graph)
-        self._put("shapes", (fp,), dict(graph.value_info))
-        return fp
+            if not graph.value_info:
+                graph.value_info = dict(held.value_info)
+            return fp, held
+        if not graph.value_info:
+            infer_shapes(graph)
+        with self._lock:
+            # a concurrent miss may have seeded the tier meanwhile: keep
+            # the first graph, so every tier refers to one per fp
+            held = self._tiers["shapes"].get((fp,))
+            if held is None:
+                held = self._put("shapes", (fp,), graph)
+        return fp, held
 
     def arep(self, graph: Graph, precision: Any) -> AnalyzeRepresentation:
         """AR for ``graph`` at ``precision`` (cached per fp+precision).
 
-        AReps built here are wired to this cache's layer store, so
-        their per-op cost/class lookups resolve against the shared
-        cross-model records.
+        Every precision's AR is built over the graph the ``shapes``
+        tier holds for the fingerprint, not over ``graph`` itself, so a
+        request graph is never kept alive by this cache.  AReps built
+        here are wired to this cache's layer store, so their per-op
+        cost/class lookups resolve against the shared cross-model
+        records.
         """
-        fp = self.ensure_shapes(graph)
+        fp, held = self._held(graph)
         key = (fp, getattr(precision, "value", precision))
 
         def build() -> AnalyzeRepresentation:
-            arep = AnalyzeRepresentation(graph, precision)
+            arep = AnalyzeRepresentation(held, precision)
             arep.layer_store = self.layer_store
             return arep
 

@@ -152,7 +152,8 @@ class Profiler:
             built.append(True)
             # compile and mapping share one AR, so each layer is
             # fingerprinted, classified and costed once per profile.  A
-            # cached AR may sit on an equal-fingerprint sibling of
+            # cached AR sits on the graph the cache holds for this
+            # fingerprint, often an equal-fingerprint sibling of
             # ``graph``; the backend compiles the AR's own graph
             with _stage(tracer, stages, "compile",
                         backend=self.backend.name):
@@ -170,7 +171,7 @@ class Profiler:
                      arep: AnalyzeRepresentation) -> Optional[MappedEntry]:
             with _stage(tracer, stages, "assemble",
                         backend=self.backend.name):
-                entry = self._assemble_entry(graph, donor, arep)
+                entry = self._assemble_entry(donor, arep)
             if entry is not None:
                 assembled.append(True)
             return entry
@@ -199,7 +200,7 @@ class Profiler:
             span.set("assembled", bool(assembled))
         return entry
 
-    def _assemble_entry(self, graph: Graph, donor: MappedEntry,
+    def _assemble_entry(self, donor: MappedEntry,
                         arep: AnalyzeRepresentation
                         ) -> Optional[MappedEntry]:
         """Rebuild a :class:`MappedEntry` at this profiler's precision
@@ -213,12 +214,15 @@ class Profiler:
         back to the latency simulator for shapes never timed at this
         precision.  Per-precision support limits still apply:
         ``check_supported`` runs exactly as a cold compile would.
+
+        The new model sits on ``arep.graph``, as a cold compile's does,
+        so the entry never keeps the request's graph alive.
         """
         compiled = donor.compiled
         truth = compiled.truth_units
         if truth is None or len(truth) != len(compiled.layers):
             return None  # donor predates truth alignment: cold-build
-        self.backend.check_supported(graph, self.spec, self.precision)
+        self.backend.check_supported(arep.graph, self.spec, self.precision)
         cache = self.analysis_cache
         store = cache.layer_store if cache is not None else None
         sim = LatencySimulator(self.spec)
@@ -257,7 +261,7 @@ class Profiler:
             new_layers.append(new_layer)
             new_mapped.append(MappedLayer(layer=new_layer, unit=m.unit))
         new_model = BackendModel(
-            backend_name=compiled.backend_name, graph=graph,
+            backend_name=compiled.backend_name, graph=arep.graph,
             precision=self.precision, spec=self.spec, layers=new_layers,
             truth_units=truth)
         return MappedEntry(compiled=new_model, arep=arep,

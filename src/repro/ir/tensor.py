@@ -8,6 +8,7 @@ how inference runtimes compile a model for a fixed profile.
 """
 from __future__ import annotations
 
+import hashlib
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -198,10 +199,15 @@ class Initializer:
         Weights are drawn from a small-variance normal so that executing a
         deep network does not overflow fp16; integer tensors default to
         zeros (they are almost always shape/index constants that builders
-        provide explicitly).
+        provide explicitly).  Without ``rng`` the seed comes from the
+        SHA-256 of the tensor name, so values do not depend on the
+        process or its hash seed.
         """
         if self.data is None:
-            rng = rng or np.random.default_rng(abs(hash(self.info.name)) % (2**32))
+            if rng is None:
+                digest = hashlib.sha256(self.info.name.encode()).digest()
+                rng = np.random.default_rng(
+                    int.from_bytes(digest[:4], "little"))
             np_dt = self.info.dtype.to_numpy()
             if self.info.dtype.is_float:
                 fan_in = max(1, self.info.numel // max(1, self.info.shape[0] if self.info.shape else 1))

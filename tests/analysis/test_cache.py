@@ -395,3 +395,48 @@ class TestLayerTierConcurrency:
         assert not errors
         for precision, digest in results:
             assert digest == cold[precision]
+
+
+class TestOneGraphPerFingerprint:
+    """Every tier refers to the one graph the ``shapes`` tier holds for
+    a fingerprint, whichever request built the entry."""
+
+    MODELS = ("mobilenetv2-05", "shufflenetv2-05", "vit-tiny")
+    #: per model, in order: arep + mapped miss, assemble from the
+    #: structure donor at a new precision, mapped miss on an arep hit
+    CONFIGS = (("trt-sim", "a100", "fp16"), ("trt-sim", "a100", "fp32"),
+               ("ort-sim", "xeon6330", "fp16"))
+
+    def test_tiers_hold_one_graph_per_fingerprint(self):
+        from repro.models.registry import build_model
+        cache = AnalysisCache()
+        fingerprints = set()
+        for model in self.MODELS:
+            for backend, spec, precision in self.CONFIGS:
+                warm = Profiler(backend, spec, precision,
+                                analysis_cache=cache).profile(
+                    build_model(model))
+                cold_graph = build_model(model)
+                fingerprints.add(graph_fingerprint(cold_graph))
+                cold = Profiler(backend, spec, precision,
+                                analysis_cache=False).profile(cold_graph)
+                assert report_digest(warm) == report_digest(cold), \
+                    (model, backend, precision)
+        stats = cache.stats()
+        assert stats["arep"]["misses"] == 2 * len(self.MODELS)
+        assert stats["structure"]["hits"] == len(self.MODELS)
+        assert stats["mapped"]["misses"] == 3 * len(self.MODELS)
+
+        mapped = list(cache._tiers["mapped"].values())
+        donors = list(cache.layer_store._tiers["structure"].values())
+        assert len(mapped) == 3 * len(self.MODELS)
+        assert len(donors) == 2 * len(self.MODELS)
+        graphs = {id(a.graph): a.graph
+                  for a in cache._tiers["arep"].values()}
+        for entry in mapped + donors:
+            assert entry.compiled.graph is entry.arep.graph
+            graphs[id(entry.arep.graph)] = entry.arep.graph
+        assert len(graphs) == len(fingerprints) == len(self.MODELS)
+        # ... and they are the graphs the shapes tier holds
+        assert {id(g) for g in cache._tiers["shapes"].values()} \
+            == set(graphs)

@@ -9,8 +9,12 @@ reaches the store weakly, so nothing a profile builds needs the cyclic
 collector.  Units must keep working after their representation is
 gone: the profiler's assemble path re-times a donor's truth units, and
 ``backend.compile`` without an AR drops its own.
+
+A request's graph is freed by reference counting too: every cache tier
+refers to the one graph held per fingerprint, never to the request's.
 """
 import gc
+import weakref
 
 import pytest
 
@@ -56,6 +60,30 @@ def test_cold_profile_leaves_no_cyclic_garbage(run, backend):
     try:
         run(backend)
         assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("backend, precision", [
+    ("trt-sim", "fp32"),    # the structure donor assembles the entry
+    ("ort-sim", "fp16"),    # the AR hits, compile + mapping build it
+])
+def test_sibling_request_graph_is_freed_by_refcount(backend, precision):
+    """A cache that already holds the model keeps none of a sibling
+    build's graph once its report is returned."""
+    cache = AnalysisCache()
+    Profiler("trt-sim", PLATFORMS["trt-sim"], "fp16",
+             analysis_cache=cache).profile(build_model(MODEL))
+    gc.collect()
+    gc.disable()
+    try:
+        graph = build_model(MODEL)
+        ref = weakref.ref(graph)
+        report = Profiler(backend, PLATFORMS[backend], precision,
+                          analysis_cache=cache).profile(graph)
+        assert report.layers
+        del graph
+        assert ref() is None
     finally:
         gc.enable()
 

@@ -67,3 +67,20 @@ def test_partition_trace_spans(capsys, tmp_path):
     events = doc["traceEvents"] if isinstance(doc, dict) else doc
     names = {e.get("name") for e in events}
     assert "partition.plan" in names
+
+
+def test_partition_pipeline_json_report(capsys, tmp_path):
+    """The default-batch pipeline split emits a valid, loadable
+    DistributionReport with sane aggregate numbers."""
+    json_path = tmp_path / "partition.json"
+    rc = main(["partition", "mobilenetv2-10", "--devices", "4",
+               "--strategy", "pipeline", "--json", str(json_path)])
+    assert rc == 0
+    doc = json.loads(json_path.read_text())
+    eff = doc["aggregate"]["parallel_efficiency"]
+    assert 0.0 < eff <= 1.0, f"efficiency {eff} outside (0, 1]"
+    assert len(doc["devices"]) == 4, doc["devices"]
+    assert doc["strategy"] == "pipeline"
+    report = DistributionReport.from_dict(doc)
+    assert report.iteration_seconds > 0
+    assert report.layers, "expected per-layer classification rows"

@@ -115,6 +115,21 @@ class TestInitializer:
         b = Initializer(TensorInfo("w2", (64,))).materialize()
         assert not np.array_equal(a, b)
 
+    def test_fallback_weights_ignore_the_hash_seed(self, run_python):
+        """Passes that draw weights without an rng (``fold_batchnorm``
+        at level 2) give the same graph in every process."""
+        script = (
+            "from repro.ir.fingerprint import graph_fingerprint\n"
+            "from repro.ir.passes import optimize_graph\n"
+            "from repro.models.registry import build_model\n"
+            "g = build_model('resnet50', batch_size=1, image_size=64)\n"
+            "print(graph_fingerprint(optimize_graph(g, level=2)))\n")
+        fingerprints = {
+            run_python("-c", script,
+                       env={"PYTHONHASHSEED": seed}).stdout.strip()
+            for seed in ("1", "2")}
+        assert len(fingerprints) == 1, fingerprints
+
     def test_data_shape_checked(self):
         with pytest.raises(ValueError, match="data shape"):
             Initializer(TensorInfo("w", (2, 2)), np.zeros((3,)))

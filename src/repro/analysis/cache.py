@@ -31,11 +31,15 @@ The ``layer`` and ``structure`` tiers live in a
 records keyed by the name-free layer fingerprints of
 :mod:`repro.ir.fingerprint`, shared across models and sweep configs.
 Each cache owns a private store by default; pass ``layer_store=`` to
-share one across caches, or ``layer_store=False`` to disable the
-sub-graph tiers entirely (pre-layer-store behaviour, useful for A/B
-measurement).  Every tier has its own LRU capacity
-(``tier_entries``) — the layer tier needs tens of thousands of slots
-where whole-graph tiers need ~128 — and its own eviction counter.
+share one across caches.  ``layer_store=False`` disables the sub-graph
+tiers: every record is computed directly and no structure is donated.
+That is the store-free reference path, which
+``Profiler(analysis_cache=False)`` runs through a fresh, private cache
+per profile.  The cache and the store are both a
+:class:`~repro.analysis.layerstore.TieredLRU`: every tier has its own
+capacity — the layer tier needs tens of thousands of slots where a
+whole-graph tier needs ``max_entries`` (128) — and its own eviction
+counter.
 
 The plan key includes the optimization *pipeline fingerprint* (level +
 ordered pass list, :func:`repro.ir.passes.pipeline_fingerprint`), so
@@ -74,7 +78,6 @@ this for backends whose layer structure is precision-invariant.
 from __future__ import annotations
 
 import threading
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
@@ -85,7 +88,7 @@ from ..ir.plan import ExecutionPlan
 from ..ir.shape_inference import infer_shapes
 from ..obs.metrics import MetricsRegistry, default_registry
 from .arep import AnalyzeRepresentation
-from .layerstore import LayerStore
+from .layerstore import LayerStore, TieredLRU
 from .oarep import OptimizedAnalyzeRepresentation
 
 __all__ = ["AnalysisCache", "MappedEntry", "shared_analysis_cache"]
@@ -104,103 +107,38 @@ class MappedEntry:
     memo: Dict[Any, Any] = field(default_factory=dict)
 
 
-class AnalysisCache:
+class AnalysisCache(TieredLRU):
     """LRU memo for shape inference, AR/OAR, compiled plans and —
-    through its :class:`LayerStore` — per-layer analysis records."""
+    through its :class:`LayerStore` — per-layer analysis records.
+
+    Each whole-graph tier holds up to ``max_entries`` entries;
+    ``len(cache)`` counts them, and the store keeps its own count
+    (``len(cache.layer_store)``).
+    """
 
     #: whole-graph tiers stored in this cache itself
     GRAPH_TIERS = ("shapes", "arep", "mapped", "plan")
-    #: every tier this cache reports stats/gauges for (the last two are
+    #: every tier this cache reports stats for (the last two are
     #: delegated to the layer store)
     TIERS = GRAPH_TIERS + LayerStore.TIERS
 
     def __init__(self, max_entries: int = 128,
                  metrics: Optional[MetricsRegistry] = None,
-                 layer_store: Union["LayerStore", bool, None] = None,
-                 tier_entries: Optional[Dict[str, int]] = None) -> None:
-        #: default per-tier capacity for the whole-graph tiers (kept as
-        #: one knob for back-compat; ``tier_entries`` overrides per tier)
-        self.max_entries = max_entries
-        self.tier_entries: Dict[str, int] = {
-            t: max_entries for t in self.GRAPH_TIERS}
-        if tier_entries:
-            unknown = set(tier_entries) - set(self.GRAPH_TIERS)
-            if unknown:
-                raise KeyError(f"unknown cache tiers {sorted(unknown)}; "
-                               f"size the layer store via layer_store=")
-            self.tier_entries.update(tier_entries)
-        self._tiers: Dict[str, "OrderedDict[Tuple, Any]"] = {
-            t: OrderedDict() for t in self.GRAPH_TIERS}
-        self._lock = threading.RLock()
-        self._hits = {t: 0 for t in self.GRAPH_TIERS}
-        self._misses = {t: 0 for t in self.GRAPH_TIERS}
-        self._evictions = {t: 0 for t in self.GRAPH_TIERS}
-        # library-level telemetry (repro.obs): per-tier hit/miss/eviction
-        # counters, resolved once so the hot path pays one Counter.inc
+                 layer_store: Union["LayerStore", bool, None] = None) -> None:
         registry = metrics if metrics is not None else default_registry()
-        self._hit_counters = {
-            t: registry.counter(f"analysis_cache.{t}.hits")
-            for t in self.GRAPH_TIERS}
-        self._miss_counters = {
-            t: registry.counter(f"analysis_cache.{t}.misses")
-            for t in self.GRAPH_TIERS}
-        self._eviction_counters = {
-            t: registry.counter(f"analysis_cache.{t}.evictions")
-            for t in self.GRAPH_TIERS}
+        super().__init__(dict.fromkeys(self.GRAPH_TIERS, max_entries),
+                         registry)
+        if layer_store is None or layer_store is True:
+            layer_store = LayerStore(metrics=registry)
         #: sub-graph-granular record store (``layer``/``structure``
         #: tiers); private by default, shareable across caches, or
-        #: ``False`` to disable
-        if layer_store is False:
-            self.layer_store: Optional[LayerStore] = None
-        elif layer_store is None or layer_store is True:
-            self.layer_store = LayerStore(metrics=registry)
-        else:
-            self.layer_store = layer_store
-
-    # ------------------------------------------------------------------
-    # plumbing
-    # ------------------------------------------------------------------
-    def _get(self, tier: str, key: Tuple) -> Tuple[bool, Any]:
-        with self._lock:
-            entries = self._tiers[tier]
-            if key in entries:
-                entries.move_to_end(key)
-                self._hits[tier] += 1
-                self._hit_counters[tier].inc()
-                return True, entries[key]
-            self._misses[tier] += 1
-            self._miss_counters[tier].inc()
-            return False, None
-
-    def _put(self, tier: str, key: Tuple, value: Any) -> Any:
-        with self._lock:
-            entries = self._tiers[tier]
-            entries[key] = value
-            entries.move_to_end(key)
-            while len(entries) > self.tier_entries[tier]:
-                entries.popitem(last=False)
-                self._evictions[tier] += 1
-                self._eviction_counters[tier].inc()
-        return value
-
-    def get_or_build(self, tier: str, key: Tuple,
-                     build: Callable[[], Any]) -> Any:
-        """Generic get-or-build against one whole-graph tier."""
-        if tier not in self.GRAPH_TIERS:
-            raise KeyError(f"unknown cache tier {tier!r} (layer-store "
-                           f"tiers go through .layer_store)")
-        hit, value = self._get(tier, key)
-        if hit:
-            return value
-        return self._put(tier, key, build())
+        #: ``False`` for the store-free reference path
+        self.layer_store: Optional[LayerStore] = \
+            None if layer_store is False else layer_store
 
     # ------------------------------------------------------------------
     # tiers
     # ------------------------------------------------------------------
-    def fingerprint(self, graph: Graph) -> str:
-        """Content fingerprint (memoized on the graph object itself)."""
-        return graph_fingerprint(graph)
-
     def ensure_shapes(self, graph: Graph) -> str:
         """Fill ``graph.value_info`` (cached per fingerprint); return fp."""
         return self._held(graph)[0]
@@ -213,7 +151,7 @@ class AnalysisCache:
         copy of the held one; :class:`~repro.ir.tensor.TensorInfo` is
         immutable, so the infos themselves are shared.
         """
-        fp = self.fingerprint(graph)
+        fp = graph_fingerprint(graph)
         hit, held = self._get("shapes", (fp,))
         if hit:
             if not graph.value_info:
@@ -247,16 +185,7 @@ class AnalysisCache:
             arep.layer_store = self.layer_store
             return arep
 
-        return self.get_or_build("arep", key, build)
-
-    def oar(self, graph: Graph, precision: Any) -> OptimizedAnalyzeRepresentation:
-        """A *fresh* OAR over the cached AR.
-
-        OARs are mutated by backend layer mapping, so they are never
-        shared pre-mapping; the finished state lives in the ``mapped``
-        tier.
-        """
-        return OptimizedAnalyzeRepresentation(self.arep(graph, precision))
+        return self._get_or_build("arep", key, build)
 
     def mapped_entry(self, graph: Graph, backend_key: str, spec_key: str,
                      precision: Any,
@@ -306,7 +235,7 @@ class AnalysisCache:
         """
         fp = self.ensure_shapes(graph)
         key = (fp, seed, pipeline_fingerprint(int(optimize)))
-        return self.get_or_build(
+        return self._get_or_build(
             "plan", key,
             lambda: ExecutionPlan(graph, seed=seed, optimize=optimize))
 
@@ -316,10 +245,7 @@ class AnalysisCache:
     def stats(self) -> Dict[str, Dict[str, int]]:
         """Per-tier ``{"hits", "misses", "evictions"}`` counts, layer
         and structure tiers included (zeros when the store is off)."""
-        with self._lock:
-            out = {t: {"hits": self._hits[t], "misses": self._misses[t],
-                       "evictions": self._evictions[t]}
-                   for t in self.GRAPH_TIERS}
+        out = super().stats()
         if self.layer_store is not None:
             out.update(self.layer_store.stats())
         else:
@@ -333,31 +259,11 @@ class AnalysisCache:
                     if s["hits"] + s["misses"] else 0.0)
                 for t, s in self.stats().items()}
 
-    def hit_counts(self) -> Dict[str, int]:
-        return {t: s["hits"] for t, s in self.stats().items()}
-
-    def miss_counts(self) -> Dict[str, int]:
-        return {t: s["misses"] for t, s in self.stats().items()}
-
-    def eviction_counts(self) -> Dict[str, int]:
-        return {t: s["evictions"] for t, s in self.stats().items()}
-
-    def __len__(self) -> int:
-        """Live entries in the whole-graph tiers (the layer store keeps
-        its own count: ``len(cache.layer_store)``)."""
-        with self._lock:
-            return sum(len(e) for e in self._tiers.values())
-
     def clear(self) -> None:
-        """Drop all entries and zero the counters (the attached layer
+        """Drop all entries and zero the counts (the attached layer
         store included — callers sharing a store across caches should
         clear at the store level deliberately, not through a cache)."""
-        with self._lock:
-            for t in self.GRAPH_TIERS:
-                self._tiers[t].clear()
-                self._hits[t] = 0
-                self._misses[t] = 0
-                self._evictions[t] = 0
+        super().clear()
         if self.layer_store is not None:
             self.layer_store.clear()
 

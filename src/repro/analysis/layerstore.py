@@ -38,10 +38,7 @@ which graph computed them first.
 A store is private to its owning :class:`AnalysisCache` by default;
 passing one explicitly (``AnalysisCache(layer_store=...)``) shares
 layer records across caches — that is the "warm store, cold cache"
-configuration the sweep-redundancy benchmark measures.  All access is
-guarded by one lock; values are computed outside it, so concurrent
-misses on a key may compute twice (last write wins with a bit-identical
-value) but never serialize unrelated lookups.
+configuration the sweep-redundancy benchmark measures.
 """
 from __future__ import annotations
 
@@ -51,7 +48,7 @@ from typing import Any, Callable, Dict, Optional, Tuple
 
 from ..obs.metrics import MetricsRegistry, default_registry
 
-__all__ = ["LayerStore"]
+__all__ = ["LayerStore", "TieredLRU"]
 
 #: the layer tier holds per-layer records across a whole model zoo —
 #: a few hundred layers per model times kinds times sweep axes — so its
@@ -62,30 +59,30 @@ DEFAULT_MAX_RECORDS = 65536
 DEFAULT_MAX_STRUCTURES = 256
 
 
-class LayerStore:
-    """LRU store of per-layer analysis records and donor structures."""
+class TieredLRU:
+    """Named LRU tiers under one lock, each with its own capacity.
 
-    TIERS = ("layer", "structure")
+    Hits, misses and evictions are counted in :meth:`stats` and in the
+    ``analysis_cache.<tier>.*`` counters of ``metrics`` (the process
+    registry by default).  Values are built outside the lock, so
+    concurrent misses on a key may build twice (last write wins with an
+    equal value) but never serialize unrelated lookups.
+    """
 
-    def __init__(self, max_records: int = DEFAULT_MAX_RECORDS,
-                 max_structures: int = DEFAULT_MAX_STRUCTURES,
+    def __init__(self, caps: Dict[str, int],
                  metrics: Optional[MetricsRegistry] = None) -> None:
-        self.max_records = max_records
-        self.max_structures = max_structures
+        self._caps = dict(caps)
         self._lock = threading.RLock()
         self._tiers: Dict[str, "OrderedDict[Tuple, Any]"] = {
-            t: OrderedDict() for t in self.TIERS}
-        self._caps = {"layer": max_records, "structure": max_structures}
-        self._hits = {t: 0 for t in self.TIERS}
-        self._misses = {t: 0 for t in self.TIERS}
-        self._evictions = {t: 0 for t in self.TIERS}
+            t: OrderedDict() for t in caps}
+        self._hits = dict.fromkeys(caps, 0)
+        self._misses = dict.fromkeys(caps, 0)
+        self._evictions = dict.fromkeys(caps, 0)
         registry = metrics if metrics is not None else default_registry()
         self._counters = {
             (t, kind): registry.counter(f"analysis_cache.{t}.{kind}")
-            for t in self.TIERS
-            for kind in ("hits", "misses", "evictions")}
+            for t in caps for kind in ("hits", "misses", "evictions")}
 
-    # ------------------------------------------------------------------
     def _get(self, tier: str, key: Tuple) -> Tuple[bool, Any]:
         with self._lock:
             entries = self._tiers[tier]
@@ -109,6 +106,46 @@ class LayerStore:
                 self._counters[(tier, "evictions")].inc()
         return value
 
+    def _get_or_build(self, tier: str, key: Tuple,
+                      build: Callable[[], Any]) -> Any:
+        hit, value = self._get(tier, key)
+        if hit:
+            return value
+        return self._put(tier, key, build())
+
+    def stats(self) -> Dict[str, Dict[str, int]]:
+        """Per-tier ``{"hits", "misses", "evictions"}`` since the last
+        :meth:`clear`."""
+        with self._lock:
+            return {t: {"hits": self._hits[t],
+                        "misses": self._misses[t],
+                        "evictions": self._evictions[t]}
+                    for t in self._tiers}
+
+    def __len__(self) -> int:
+        with self._lock:
+            return sum(len(e) for e in self._tiers.values())
+
+    def clear(self) -> None:
+        """Drop all entries and zero :meth:`stats` (registry counters
+        keep their totals)."""
+        with self._lock:
+            for t, entries in self._tiers.items():
+                entries.clear()
+                self._hits[t] = self._misses[t] = self._evictions[t] = 0
+
+
+class LayerStore(TieredLRU):
+    """LRU store of per-layer analysis records and donor structures."""
+
+    TIERS = ("layer", "structure")
+
+    def __init__(self, max_records: int = DEFAULT_MAX_RECORDS,
+                 max_structures: int = DEFAULT_MAX_STRUCTURES,
+                 metrics: Optional[MetricsRegistry] = None) -> None:
+        super().__init__({"layer": max_records,
+                          "structure": max_structures}, metrics)
+
     # ------------------------------------------------------------------
     # layer records
     # ------------------------------------------------------------------
@@ -130,25 +167,3 @@ class LayerStore:
         """Register a freshly built entry as the donor for its
         structure key (first precision wins; later puts refresh LRU)."""
         return self._put("structure", key, entry)
-
-    # ------------------------------------------------------------------
-    # introspection
-    # ------------------------------------------------------------------
-    def stats(self) -> Dict[str, Dict[str, int]]:
-        with self._lock:
-            return {t: {"hits": self._hits[t],
-                        "misses": self._misses[t],
-                        "evictions": self._evictions[t]}
-                    for t in self.TIERS}
-
-    def __len__(self) -> int:
-        with self._lock:
-            return sum(len(e) for e in self._tiers.values())
-
-    def clear(self) -> None:
-        with self._lock:
-            for t in self.TIERS:
-                self._tiers[t].clear()
-                self._hits[t] = 0
-                self._misses[t] = 0
-                self._evictions[t] = 0

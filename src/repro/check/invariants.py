@@ -144,8 +144,7 @@ def check_cache_roundtrip(graph: Graph, backend: str = "trt-sim",
     if cold != first:
         problems.append(f"cold run digest {cold[:12]} != cached "
                         f"{first[:12]}")
-    hits = cache.hit_counts()
-    if hits.get("mapped", 0) < 1:
+    if cache.stats()["mapped"]["hits"] < 1:
         problems.append("second profile did not hit the mapped tier")
     return InvariantResult("cache-roundtrip", graph.name, not problems,
                            "; ".join(problems))

@@ -37,8 +37,8 @@ from ..hardware.specs import HardwareSpec, platform, spec_cache_key
 from ..ir.fingerprint import tensor_fingerprint
 from ..ir.graph import Graph
 from ..ir.plan import ExecutionPlan, compile_plan
-from ..ir.shape_inference import infer_shapes
 from ..ir.tensor import DataType
+from ..obs.metrics import MetricsRegistry
 from ..obs.trace import get_tracer
 from .report import EndToEnd, LayerProfile, MetricSource, ProfileReport
 from .roofline import Roofline, RooflinePoint, roofline_for
@@ -104,7 +104,8 @@ class Profiler:
         self.counters = counter_profiler or CounterProfiler(self.spec)
         #: memoizes shapes / AR / OAR+mapping across profile() calls;
         #: ``True`` (default) uses the process-wide shared cache,
-        #: ``False``/``None`` disables, an instance scopes it explicitly
+        #: ``False``/``None`` reuses nothing across calls, an instance
+        #: scopes it explicitly
         if analysis_cache is True:
             self.analysis_cache: Optional[AnalysisCache] = \
                 shared_analysis_cache()
@@ -142,8 +143,13 @@ class Profiler:
     def _mapped_entry(self, graph: Graph, tracer=None,
                       stages: Optional[Dict[str, float]] = None
                       ) -> MappedEntry:
-        """Structural phase: compile, AR, OAR, layer mapping — memoized."""
-        tracer = tracer or self._tracer()
+        """Structural phase: compile, AR, OAR, layer mapping — memoized.
+
+        Without a configured cache each call gets a fresh, store-free
+        one: nothing is reused and no process-wide counter moves.
+        """
+        if tracer is None:
+            tracer = self._tracer()
 
         built = []
         assembled = []
@@ -176,14 +182,8 @@ class Profiler:
                 assembled.append(True)
             return entry
 
-        cache = self.analysis_cache
-        if cache is None:
-            with _stage(tracer, stages, "shape_inference"):
-                if not graph.value_info:
-                    infer_shapes(graph)
-            with _stage(tracer, stages, "arep"):
-                arep = AnalyzeRepresentation(graph, self.precision)
-            return build(arep)
+        cache = self.analysis_cache if self.analysis_cache is not None \
+            else AnalysisCache(metrics=MetricsRegistry(), layer_store=False)
         # fetch (or build) the AR under its own span, then the mapped
         # tier; the arep tier is memoized, so this adds one lookup, not
         # a second construction
@@ -216,15 +216,16 @@ class Profiler:
         ``check_supported`` runs exactly as a cold compile would.
 
         The new model sits on ``arep.graph``, as a cold compile's does,
-        so the entry never keeps the request's graph alive.
+        so the entry never keeps the request's graph alive.  Only a
+        configured cache with a layer store offers a donor, so the
+        store is always there.
         """
         compiled = donor.compiled
         truth = compiled.truth_units
         if truth is None or len(truth) != len(compiled.layers):
             return None  # donor predates truth alignment: cold-build
         self.backend.check_supported(arep.graph, self.spec, self.precision)
-        cache = self.analysis_cache
-        store = cache.layer_store if cache is not None else None
+        store = self.analysis_cache.layer_store
         sim = LatencySimulator(self.spec)
         spec_key = self._spec_key()
         prec = self.precision.value
@@ -247,8 +248,7 @@ class Profiler:
 
                 record_key = ("latency", unit.layer_fingerprint(),
                               spec_key, prec)
-            latency = store.record(record_key, compute) \
-                if store is not None else compute()
+            latency = store.record(record_key, compute)
             new_layer = dataclasses.replace(
                 layer,
                 inputs=list(layer.inputs), outputs=list(layer.outputs),

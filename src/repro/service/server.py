@@ -122,8 +122,8 @@ class ProfilingService:
             max_spans=50_000)
         #: per-service structural memo shared by all worker threads;
         #: sits below the report cache — see docs/PERF.md
-        self.analysis_cache = analysis_cache or AnalysisCache(
-            metrics=self.metrics)
+        self.analysis_cache = analysis_cache if analysis_cache is not None \
+            else AnalysisCache(metrics=self.metrics)
         self.default_max_retries = max_retries
         self.default_timeout = default_timeout
         self._jobs: Dict[str, Job] = {}
@@ -358,8 +358,9 @@ class ShardedProfilingService(ProfilingService):
                                          cache_dir=cache_dir,
                                          negative_ttl=negative_ttl)
         # shards own their (process-private) analysis caches; the
-        # parent-side one exists only for facade compatibility, so it
-        # does not register per-tier gauges that would always read zero
+        # parent-side one exists only for facade compatibility, so its
+        # per-tier counters, which would always read zero, stay out of
+        # the service registry
         super().__init__(workers=processes, queue_size=shard_queue_size,
                          cache_bytes=cache_bytes,
                          cache_entries=cache_entries, cache_dir=cache_dir,

@@ -64,20 +64,9 @@ class WorkerPool(SchedulingPolicy):
         self._queue = queue
         #: structural tier below the report cache — report-cache misses
         #: that share a graph/backend/precision still skip re-analysis.
-        #: The pool itself only surfaces its metrics; the runner is what
+        #: The pool only reports it in ``/stats``; the runner is what
         #: consults it (see ``server.default_runner``).
         self.analysis_cache = analysis_cache
-        if analysis_cache is not None:
-            for tier in AnalysisCache.TIERS:
-                self.metrics.gauge(
-                    f"analysis_cache.{tier}.hits",
-                    lambda t=tier: analysis_cache.hit_counts()[t])
-                self.metrics.gauge(
-                    f"analysis_cache.{tier}.misses",
-                    lambda t=tier: analysis_cache.miss_counts()[t])
-                self.metrics.gauge(
-                    f"analysis_cache.{tier}.evictions",
-                    lambda t=tier: analysis_cache.eviction_counts()[t])
         self.num_workers = num_workers
         self._executor: Optional[ThreadPoolExecutor] = None
         self._running = False

@@ -2,7 +2,6 @@
 import threading
 
 import numpy as np
-import pytest
 
 from repro.analysis.cache import AnalysisCache, shared_analysis_cache
 from repro.core.profiler import Profiler, _graph_batch_size
@@ -12,6 +11,7 @@ from repro.ir.graph import Graph
 from repro.ir.serialization import from_json, to_json
 from repro.ir.tensor import DataType, TensorInfo
 from repro.models import shufflenet_v2
+from repro.obs.metrics import default_registry
 
 
 def small_graph(image_size=32):
@@ -67,18 +67,16 @@ class TestTiers:
         assert cache.plan(g, seed=0) is cache.plan(g, seed=0)
         assert cache.plan(g, seed=0) is not cache.plan(g, seed=1)
 
-    def test_get_or_build_rejects_unknown_tier(self):
-        with pytest.raises(KeyError):
-            AnalysisCache().get_or_build("nope", ("k",), lambda: 1)
-
     def test_lru_eviction(self):
         cache = AnalysisCache(max_entries=2)
-        for i in range(4):
-            cache.get_or_build("plan", (f"fp{i}",), lambda i=i: i)
-        assert len(cache) == 2
+        g = small_graph()
+        plans = [cache.plan(g, seed=i) for i in range(4)]
+        assert cache.stats()["plan"] == {"hits": 0, "misses": 4,
+                                         "evictions": 2}
+        assert len(cache) == 3      # one shapes entry, two plans
         # oldest entries were evicted: rebuilding counts as a miss
-        assert cache.get_or_build("plan", ("fp0",), lambda: "rebuilt") \
-            == "rebuilt"
+        assert cache.plan(g, seed=0) is not plans[0]
+        assert cache.stats()["plan"]["misses"] == 5
 
     def test_clear_resets_entries_and_stats(self):
         cache = AnalysisCache()
@@ -132,6 +130,20 @@ class TestProfilerIntegration:
         report = Profiler("trt-sim", "a100",
                           analysis_cache=None).profile(g)
         assert report.layers
+
+    def test_disabled_cache_leaves_process_counters_unchanged(self):
+        """Each uncached profile runs through a private cache, so the
+        process-wide ``analysis_cache.*`` counters never move."""
+        def counts():
+            return {name: value for name, value in
+                    default_registry().snapshot()["counters"].items()
+                    if name.startswith("analysis_cache.")}
+
+        AnalysisCache()     # registers every tier's counters
+        before = counts()
+        Profiler("trt-sim", "a100", analysis_cache=False).profile(
+            small_graph())
+        assert counts() == before
 
     def test_concurrent_profilers_share_one_cache(self):
         g = small_graph()
@@ -224,38 +236,22 @@ class TestPlanTierOptimizeKeys:
         g = small_graph()
         cache.plan(g, seed=0, optimize=1)
         cache.plan(g, seed=0, optimize=1)
-        assert cache.miss_counts()["plan"] == 1
-        assert cache.hit_counts()["plan"] == 1
         assert cache.stats()["plan"] == {"hits": 1, "misses": 1,
                                          "evictions": 0}
 
 
 class TestTierSizing:
-    """Per-tier LRU capacities (ISSUE 9 satellite): one shared cap
-    starved the layer-scale tiers, so each tier now sizes itself."""
-
-    def test_tier_entries_overrides_single_cap(self):
-        cache = AnalysisCache(max_entries=8, tier_entries={"plan": 2})
-        assert cache.tier_entries["plan"] == 2
-        assert cache.tier_entries["arep"] == 8
-        for i in range(5):
-            cache.get_or_build("plan", (f"fp{i}",), lambda i=i: i)
-            cache.get_or_build("arep", (f"fp{i}",), lambda i=i: i)
-        stats = cache.stats()
-        assert stats["plan"]["evictions"] == 3
-        assert stats["arep"]["evictions"] == 0
-
-    def test_unknown_tier_entries_rejected(self):
-        with pytest.raises(KeyError):
-            AnalysisCache(tier_entries={"layer": 10})
+    """The whole-graph tiers share ``max_entries``; the layer store
+    sizes its own tiers."""
 
     def test_eviction_counter_in_eviction_counts(self):
-        cache = AnalysisCache(tier_entries={"plan": 1})
-        cache.get_or_build("plan", ("a",), lambda: 1)
-        cache.get_or_build("plan", ("b",), lambda: 2)
-        assert cache.eviction_counts()["plan"] == 1
-        # eviction really dropped the LRU entry: "a" rebuilds as a miss
-        cache.get_or_build("plan", ("a",), lambda: 3)
+        cache = AnalysisCache(max_entries=1)
+        g = small_graph()
+        cache.plan(g, seed=0)
+        cache.plan(g, seed=1)
+        assert cache.stats()["plan"]["evictions"] == 1
+        # eviction really dropped the LRU entry: seed 0 rebuilds as a miss
+        cache.plan(g, seed=0)
         assert cache.stats()["plan"]["misses"] == 3
 
     def test_layer_store_has_independent_capacity(self):

@@ -10,9 +10,11 @@ import time
 
 import pytest
 
+from repro.analysis.cache import AnalysisCache
 from repro.core.profiler import Profiler
 from repro.ir.fingerprint import report_digest
 from repro.models import build_model
+from repro.obs.metrics import MetricsRegistry
 from repro.service import (JobFailedError, JobStatus, ProfilingService,
                            QueueFullError)
 from .conftest import synthetic_report
@@ -34,6 +36,17 @@ def test_cached_result_is_bit_identical_to_direct_profiler():
         second = service.profile("mobilenetv2-05", batch_size=2)
     assert report_digest(first) == report_digest(direct)
     assert report_digest(second) == report_digest(direct)
+
+
+def test_service_keeps_callers_empty_analysis_cache():
+    """An empty cache has ``len() == 0``; the service must still use it
+    rather than build its own."""
+    cache = AnalysisCache(metrics=MetricsRegistry())
+    with ProfilingService(workers=1, analysis_cache=cache) as service:
+        assert service.analysis_cache is cache
+        service.profile("mobilenetv2-05", batch_size=1)
+    assert cache.stats()["mapped"]["misses"] == 1
+    assert cache.stats()["shapes"]["misses"] == 1
 
 
 def test_second_request_served_from_cache_with_hit_in_stats():

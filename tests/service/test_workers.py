@@ -209,26 +209,41 @@ def test_cancelled_jobs_compacted_from_a_full_queue_are_released(make_report):
 
 
 # ----------------------------------------------------------------------
-def test_analysis_cache_gauges_cover_every_tier():
-    """The pool exposes hit *and* miss gauges per tier (including the
-    plan tier) so /metrics can chart cache effectiveness."""
+def test_analysis_cache_counters_cover_every_tier_once():
+    """A thread-tier service exports each analysis-cache tier's hits,
+    misses and evictions exactly once, as counters the cache registers;
+    the pool mirrors none of them as gauges."""
     from repro.analysis.cache import AnalysisCache
+    from repro.service import ProfilingService
 
-    cache = AnalysisCache(metrics=MetricsRegistry())
-    cache.get_or_build("plan", ("fp",), lambda: "plan")     # miss
-    cache.get_or_build("plan", ("fp",), lambda: "plan")     # hit
-    pool = WorkerPool(lambda req: None, queue=JobQueue(maxsize=4),
-                      cache=ResultCache(), metrics=MetricsRegistry(),
-                      analysis_cache=cache)
-    gauges = pool.metrics.snapshot()["gauges"]
+    def exported(text):
+        types, values = {}, {}
+        for line in text.splitlines():
+            if line.startswith("# TYPE "):
+                name, kind = line.split()[2:]
+                types.setdefault(name, []).append(kind)
+            elif line and not line.startswith("#"):
+                name, value = line.rsplit(" ", 1)
+                values[name] = float(value)
+        return types, values
+
+    with ProfilingService(workers=1) as service:
+        _, before = exported(service.metrics_text())
+        service.profile("mobilenetv2-05", batch_size=1)
+        types, after = exported(service.metrics_text())
     for tier in AnalysisCache.TIERS:
-        assert f"analysis_cache.{tier}.hits" in gauges
-        assert f"analysis_cache.{tier}.misses" in gauges
-    assert gauges["analysis_cache.plan.hits"] == 1
-    assert gauges["analysis_cache.plan.misses"] == 1
-    # the gauges are live callbacks, not captured values
-    cache.get_or_build("plan", ("fp",), lambda: "plan")
-    assert pool.metrics.snapshot()["gauges"]["analysis_cache.plan.hits"] == 2
+        for kind in ("hits", "misses", "evictions"):
+            base = f"analysis_cache_{tier}_{kind}"
+            assert types[f"{base}_total"] == ["counter"]
+            assert base not in types
+    # the job looked up every tier a profile touches
+    for tier in ("shapes", "arep", "mapped", "layer", "structure"):
+        lookups = [f"analysis_cache_{tier}_{kind}_total"
+                   for kind in ("hits", "misses")]
+        assert sum(after[n] for n in lookups) > \
+            sum(before[n] for n in lookups), tier
+    assert after["analysis_cache_mapped_misses_total"] == \
+        before["analysis_cache_mapped_misses_total"] + 1
 
 
 # ----------------------------------------------------------------------

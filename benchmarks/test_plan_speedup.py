@@ -175,8 +175,8 @@ def test_precision_sweep_shares_structural_work():
     """A precision/batch sweep misses the report cache by design; the
     analysis cache still shares shape inference across its points.
 
-    The sweep deliberately touches **all four** cache tiers with at
-    least one hit and one miss each, so the recorded ``tiers`` payload
+    The sweep deliberately touches **every** cache tier with at least
+    one hit and one miss each, so the recorded ``tiers`` payload
     is a live accounting check — a tier stuck at 0/0 (the historic
     ``ensure_shapes`` fast-path hole) fails here, not in production.
     """
@@ -188,8 +188,6 @@ def test_precision_sweep_shares_structural_work():
                  analysis_cache=cache).profile(graph)
     # second fp16 pass: the mapped tier (and everything under it) hits
     Profiler("trt-sim", "a100", "fp16", analysis_cache=cache).profile(graph)
-    # execution side of the same sweep: compiled plans are memoized too
-    assert cache.plan(graph, optimize=1) is cache.plan(graph, optimize=1)
     elapsed = time.perf_counter() - t0
     stats = cache.stats()
     rates = cache.hit_rates()
@@ -197,7 +195,6 @@ def test_precision_sweep_shares_structural_work():
     assert stats["arep"]["hits"] >= 1        # fp16 re-profile
     assert stats["mapped"]["misses"] == 3
     assert stats["mapped"]["hits"] == 1
-    assert stats["plan"] == {"hits": 1, "misses": 1, "evictions": 0}
     for tier, counts in stats.items():
         assert counts["hits"] >= 1 and counts["misses"] >= 1, \
             f"tier {tier!r} not exercised by the sweep: {counts}"

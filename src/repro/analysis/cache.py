@@ -2,12 +2,11 @@
 
 The structural work behind :meth:`repro.core.profiler.Profiler.profile`
 — shape inference, the Analyze Representation (AR), the backend-fused
-Optimized Analyze Representation (OAR) and, on the execution side, a
-compiled :class:`~repro.ir.plan.ExecutionPlan` — depends only on the
-graph's content, not on which profiling run asked for it.  Sweeps over
-precisions, batch sizes and backends (the paper's §3.2–3.3 workflow)
-therefore repeat it wholesale, and the PR 1 report cache cannot help:
-each sweep point is a *different* report.
+Optimized Analyze Representation (OAR) and the backend layer mapping —
+depends only on the graph's content, not on which profiling run asked
+for it.  Sweeps over precisions, batch sizes and backends (the paper's
+§3.2–3.3 workflow) therefore repeat it wholesale, and the PR 1 report
+cache cannot help: each sweep point is a *different* report.
 
 :class:`AnalysisCache` memoizes those intermediates under
 content-addressed keys built from :func:`~repro.ir.fingerprint.graph_fingerprint`:
@@ -20,7 +19,6 @@ shapes     ``fp``                                      the one held graph,
 arep       ``fp, precision``                           AR over held graph
 mapped     ``fp, backend, spec, precision``            compiled + AR + OAR
                                                        + mapped layers
-plan       ``fp, seed, pipeline-fingerprint``          ExecutionPlan
 layer      per-layer fingerprint keys                  cost / class /
                                                        latency records
 structure  ``fp, backend, spec`` (precision-free)      donor MappedEntry
@@ -41,10 +39,6 @@ capacity — the layer tier needs tens of thousands of slots where a
 whole-graph tier needs ``max_entries`` (128) — and its own eviction
 counter.
 
-The plan key includes the optimization *pipeline fingerprint* (level +
-ordered pass list, :func:`repro.ir.passes.pipeline_fingerprint`), so
-plans compiled at different ``optimize`` levels never alias.
-
 The ``mapped`` tier stores the *post-mapping* OAR — backend layer
 mapping mutates the OAR (``set_fused_op``), so the safely shareable
 artifact is the finished state, keyed by everything that shaped it.
@@ -62,11 +56,10 @@ table), every precision's AR is built over that graph, and a mapped
 entry's compiled model — built or assembled — sits on its AR's graph.
 No tier refers to a request's own graph unless it was the first, so a
 request graph is freed by reference counting once its caller drops it.
-The ``plan`` tier is the exception: plans still run on (and write
-weights onto) the caller's graph.  All tiers are guarded by one lock;
-concurrent misses on the same key may build twice (last write wins with
-an equivalent value) but never block each other on dict access, and
-the first graph seeded for a fingerprint is never replaced.
+All tiers are guarded by one lock; concurrent misses on the same key
+may build twice (last write wins with an equivalent value) but never
+block each other on dict access, and the first graph seeded for a
+fingerprint is never replaced.
 
 :meth:`mapped_entry` additionally takes an ``assemble`` callback: on a
 ``mapped`` miss whose precision-free *structure* is already known (a
@@ -83,8 +76,6 @@ from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 from ..ir.fingerprint import graph_fingerprint
 from ..ir.graph import Graph
-from ..ir.passes import pipeline_fingerprint
-from ..ir.plan import ExecutionPlan
 from ..ir.shape_inference import infer_shapes
 from ..obs.metrics import MetricsRegistry, default_registry
 from .arep import AnalyzeRepresentation
@@ -108,7 +99,7 @@ class MappedEntry:
 
 
 class AnalysisCache(TieredLRU):
-    """LRU memo for shape inference, AR/OAR, compiled plans and —
+    """LRU memo for shape inference, AR/OAR, mapped layers and —
     through its :class:`LayerStore` — per-layer analysis records.
 
     Each whole-graph tier holds up to ``max_entries`` entries;
@@ -117,7 +108,7 @@ class AnalysisCache(TieredLRU):
     """
 
     #: whole-graph tiers stored in this cache itself
-    GRAPH_TIERS = ("shapes", "arep", "mapped", "plan")
+    GRAPH_TIERS = ("shapes", "arep", "mapped")
     #: every tier this cache reports stats for (the last two are
     #: delegated to the layer store)
     TIERS = GRAPH_TIERS + LayerStore.TIERS
@@ -223,21 +214,6 @@ class AnalysisCache(TieredLRU):
         if store is not None:
             store.put_structure(structure_key, entry)
         return self._put("mapped", key, entry)
-
-    def plan(self, graph: Graph, seed: int = 0,
-             optimize: int = 0) -> ExecutionPlan:
-        """Compiled :class:`ExecutionPlan` for ``graph``.
-
-        Keyed by fingerprint, seed and the *pipeline fingerprint* of
-        the requested optimization level — two levels that happen to
-        resolve to the same pass list share an entry, while plans
-        compiled under different pass pipelines never alias.
-        """
-        fp = self.ensure_shapes(graph)
-        key = (fp, seed, pipeline_fingerprint(int(optimize)))
-        return self._get_or_build(
-            "plan", key,
-            lambda: ExecutionPlan(graph, seed=seed, optimize=optimize))
 
     # ------------------------------------------------------------------
     # introspection

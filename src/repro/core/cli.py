@@ -82,7 +82,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="append a module-level rollup at this depth")
     run.add_argument("--optimize", type=int, default=1,
                      choices=[0, 1, 2, 3],
-                     help="execution-plan optimization level: 0 = none, "
+                     help="plan optimization level for --execute: "
+                          "0 = shape-constant folding only, "
                           "1 = bit-exact fusion + fast kernels (default), "
                           "2 = + BatchNorm folding (numerics-relaxed), "
                           "3 = + dataflow scheduling, static memory "
@@ -117,8 +118,6 @@ def build_parser() -> argparse.ArgumentParser:
                           "across points")
     swp.add_argument("--batches", default="1,4,16,64,256",
                      help="comma-separated batch sizes")
-    swp.add_argument("--jobs", type=int, default=1,
-                     help="profile sweep points on this many threads")
     swp.add_argument("--cache-stats", action="store_true",
                      help="print the full per-tier analysis-cache table "
                           "(hits, misses, evictions, hit rate) for this "
@@ -156,11 +155,6 @@ def build_parser() -> argparse.ArgumentParser:
                      choices=PRECISION_CHOICES)
     bat.add_argument("--batch", type=int, default=1)
     bat.add_argument("--workers", type=int, default=4)
-    bat.add_argument("--jobs", type=int, default=1,
-                     help="parallel submission threads; submission builds "
-                          "the model graph, so N>1 overlaps graph "
-                          "construction with profiling and keeps all "
-                          "--workers busy")
     bat.add_argument("--repeat", type=int, default=1,
                      help="submit the list this many times "
                           "(repeats exercise the result cache)")
@@ -229,8 +223,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     graph = build_model(args.model, batch_size=args.batch)
     source = MetricSource.PREDICTED if args.mode == "predict" \
         else MetricSource.MEASURED
-    profiler = Profiler(args.backend, args.platform, args.precision, source,
-                        optimize=args.optimize)
+    profiler = Profiler(args.backend, args.platform, args.precision, source)
     try:
         report = profiler.profile(graph)
     except UnsupportedModelError as exc:
@@ -242,7 +235,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
         import numpy as np
 
-        plan = profiler.execution_plan(graph)
+        from ..ir.plan import compile_plan
+        plan = compile_plan(graph, optimize=args.optimize)
         rng = np.random.default_rng(0)
         feeds = {}
         for t in graph.inputs:
@@ -312,7 +306,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     sweep = sweep_batch_sizes(
         lambda bs: build_model(args.model, batch_size=bs),
         backend=args.backend, spec=args.platform,
-        precision=args.precision, batch_sizes=batches, jobs=args.jobs,
+        precision=args.precision, batch_sizes=batches,
         precisions=precisions)
     label = ",".join(precisions) if precisions else args.precision
     print(f"{args.model} on {sweep.platform_name} "
@@ -395,21 +389,13 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     with ProfilingService(
             workers=args.workers,
             tracer=cli_tracer if cli_tracer.enabled else None) as service:
-        def submit_one(model: str):
-            return service.submit(
-                model, batch_size=args.batch, backend=args.backend,
-                platform=args.platform, precision=args.precision)
-
         print(f"{'model':22s} {'status':>9s} {'latency(ms)':>12s} "
               f"{'cached':>7s}")
         for _ in range(args.repeat):
-            if args.jobs > 1:
-                from concurrent.futures import ThreadPoolExecutor
-                with ThreadPoolExecutor(max_workers=args.jobs) as ex:
-                    jobs = list(zip(args.models,
-                                    ex.map(submit_one, args.models)))
-            else:
-                jobs = [(m, submit_one(m)) for m in args.models]
+            jobs = [(m, service.submit(
+                m, batch_size=args.batch, backend=args.backend,
+                platform=args.platform, precision=args.precision))
+                for m in args.models]
             for model, job in jobs:
                 job.wait()
                 if job.status == JobStatus.SUCCEEDED:

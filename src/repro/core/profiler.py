@@ -36,7 +36,6 @@ from ..hardware.latency import LatencySimulator
 from ..hardware.specs import HardwareSpec, platform, spec_cache_key
 from ..ir.fingerprint import tensor_fingerprint
 from ..ir.graph import Graph
-from ..ir.plan import ExecutionPlan, compile_plan
 from ..ir.tensor import DataType
 from ..obs.metrics import MetricsRegistry
 from ..obs.trace import get_tracer
@@ -91,7 +90,6 @@ class Profiler:
         counter_profiler: Optional[CounterProfiler] = None,
         analysis_cache: Union[AnalysisCache, bool, None] = True,
         tracer=None,
-        optimize: int = 1,
     ) -> None:
         self.backend = backend_by_name(backend) if isinstance(backend, str) \
             else backend
@@ -117,24 +115,9 @@ class Profiler:
         #: resolves the process-wide tracer at each profile() call, so
         #: ``proof run --trace`` reaches already-constructed profilers
         self.tracer = tracer
-        #: optimization level for compiled execution plans (see
-        #: ``repro.ir.passes.OPTIMIZE_LEVELS``); level 1 rewrites are
-        #: bit-exact, so it is the default for execution-side work.
-        #: Level 3 adds dataflow scheduling, a static memory arena and
-        #: weight pre-packing on top of level 2's rewrites (same
-        #: numerics budget as level 2).
-        self.optimize = int(optimize)
 
     def _tracer(self):
         return self.tracer if self.tracer is not None else get_tracer()
-
-    def execution_plan(self, graph: Graph, seed: int = 0) -> ExecutionPlan:
-        """Compiled (and cached, when a cache is configured) plan for
-        ``graph`` at this profiler's optimization level."""
-        if self.analysis_cache is not None:
-            return self.analysis_cache.plan(graph, seed=seed,
-                                            optimize=self.optimize)
-        return compile_plan(graph, seed=seed, optimize=self.optimize)
 
     # ------------------------------------------------------------------
     def _spec_key(self) -> str:

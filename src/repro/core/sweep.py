@@ -7,8 +7,6 @@ batch programmatically.
 """
 from __future__ import annotations
 
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Union
 
@@ -109,7 +107,6 @@ def sweep_batch_sizes(
     spec: Union[HardwareSpec, str] = "a100",
     precision: Union[DataType, str] = DataType.FLOAT16,
     batch_sizes: Sequence[int] = DEFAULT_BATCHES,
-    jobs: int = 1,
     precisions: Optional[Sequence[Union[DataType, str]]] = None,
     analysis_cache=True,
 ) -> BatchSweep:
@@ -129,52 +126,36 @@ def sweep_batch_sizes(
     sweep cost about one cold point.  The per-tier accounting for this
     run lands in :attr:`BatchSweep.cache_stats`.
 
-    ``jobs > 1`` profiles sweep points on a thread pool.  Each point is
-    one profile call over its batch's shared graph (profiling only
-    fills the graph's own caches, idempotently) and the profiler's
-    analysis cache is already thread-safe, so points parallelize
-    cleanly; results come back in input order regardless of completion
-    order.  Each point runs under a ``sweep.point`` span parented to
-    the sweep's root span so traces stay hierarchical across worker
-    threads.
+    Points run one after another, each under a ``sweep.point`` span
+    nested in one ``sweep`` span.  The reuse comes from the shared
+    records, not from threads: the points are CPU-bound Python, so a
+    thread pool cannot overlap them.
     """
     if not batch_sizes:
         raise ValueError("need at least one batch size")
     for bs in batch_sizes:
         if bs <= 0:
             raise ValueError(f"batch sizes must be positive, got {bs}")
-    if jobs <= 0:
-        raise ValueError(f"jobs must be positive, got {jobs}")
     prec_list = list(precisions) if precisions else [precision]
     profilers = [Profiler(backend, spec, p, analysis_cache=analysis_cache)
                  for p in prec_list]
     cache = profilers[0].analysis_cache
     stats_before = cache.stats() if cache is not None else None
     tracer = get_tracer()
-    tasks = [(profiler, bs) for profiler in profilers for bs in batch_sizes]
     graphs: Dict[int, Graph] = {}
-    build_lock = threading.Lock()
-
-    def graph_for(bs: int) -> Graph:
-        # built by the first point that needs it, inside its span
-        with build_lock:
-            if bs not in graphs:
-                graphs[bs] = build(bs)
-            return graphs[bs]
-
-    with tracer.span("sweep", points=len(tasks), jobs=jobs) as root:
-        # cross-thread spans need an explicit parent: the worker thread
-        # has no ambient span stack (root may be a no-op span when
-        # tracing is disabled — then it carries no span_id to parent to)
-        parent = root if hasattr(root, "span_id") else None
-
-        def point(task):
-            profiler, bs = task
-            with tracer.span("sweep.point", parent=parent, batch=bs,
-                             precision=profiler.precision.value):
-                report: ProfileReport = profiler.profile(graph_for(bs))
+    points: List[SweepPoint] = []
+    with tracer.span("sweep", points=len(profilers) * len(batch_sizes)):
+        for profiler in profilers:
+            for bs in batch_sizes:
+                with tracer.span("sweep.point", batch=bs,
+                                 precision=profiler.precision.value):
+                    # built by the first point that needs it, inside
+                    # its span
+                    if bs not in graphs:
+                        graphs[bs] = build(bs)
+                    report: ProfileReport = profiler.profile(graphs[bs])
                 e = report.end_to_end
-                return SweepPoint(
+                points.append(SweepPoint(
                     batch_size=bs,
                     latency_seconds=e.latency_seconds,
                     throughput_per_second=e.throughput_per_second,
@@ -182,22 +163,11 @@ def sweep_batch_sizes(
                     achieved_bandwidth=e.achieved_bandwidth,
                     arithmetic_intensity=e.arithmetic_intensity,
                     precision=profiler.precision.value,
-                ), report.model_name
-
-        if jobs == 1:
-            results = [point(t) for t in tasks]
-        else:
-            with ThreadPoolExecutor(
-                    max_workers=min(jobs, len(tasks)),
-                    thread_name_prefix="proof-sweep") as ex:
-                # executor.map preserves input order
-                results = list(ex.map(point, tasks))
-    points = [p for p, _ in results]
-    name = results[-1][1] if results else ""
+                ))
     cache_stats = None
     if cache is not None:
         cache_stats = _cache_delta(stats_before, cache.stats())
-    return BatchSweep(model_name=name,
+    return BatchSweep(model_name=report.model_name,
                       platform_name=profilers[0].spec.name,
                       points=points,
                       cache_stats=cache_stats)

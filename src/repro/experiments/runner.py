@@ -70,29 +70,18 @@ def _run_one(key: str, module, has_charts: bool,
 
 
 def run_all(only: Optional[List[str]] = None,
-            charts_dir: Optional[str] = None,
-            jobs: int = 1) -> str:
+            charts_dir: Optional[str] = None) -> str:
     """Execute experiments and return the EXPERIMENTS.md content.
 
-    With ``jobs > 1`` the experiment modules run on a thread pool.
-    Sections always appear in :data:`EXPERIMENTS` order regardless of
-    completion order.  Experiments profile overlapping model sets, so
-    their Profilers (which default to the process-wide shared
-    :class:`~repro.analysis.cache.AnalysisCache`) reuse each other's
-    shape/AR/mapping work instead of redoing it per experiment.
+    Sections appear in :data:`EXPERIMENTS` order.  Experiments profile
+    overlapping model sets, so their Profilers (which default to the
+    process-wide shared :class:`~repro.analysis.cache.AnalysisCache`)
+    reuse each other's shape/AR/mapping work instead of redoing it per
+    experiment.
     """
-    selected = [(key, module, has_charts)
-                for key, (module, has_charts) in EXPERIMENTS.items()
-                if not only or key in only]
-    if jobs > 1 and len(selected) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=jobs) as ex:
-            bodies = list(ex.map(
-                lambda item: _run_one(item[0], item[1], item[2], charts_dir),
-                selected))
-    else:
-        bodies = [_run_one(key, module, has_charts, charts_dir)
-                  for key, module, has_charts in selected]
+    bodies = [_run_one(key, module, has_charts, charts_dir)
+              for key, (module, has_charts) in EXPERIMENTS.items()
+              if not only or key in only]
     return "\n\n---\n\n".join([_HEADER] + bodies) + "\n"
 
 
@@ -104,12 +93,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--only", default=None,
                         help="comma-separated experiment ids "
                              f"({', '.join(EXPERIMENTS)})")
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="run experiments on this many threads "
-                             "(they share one analysis cache)")
     args = parser.parse_args(argv)
     only = args.only.split(",") if args.only else None
-    content = run_all(only=only, charts_dir=args.charts, jobs=args.jobs)
+    content = run_all(only=only, charts_dir=args.charts)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(content)
     print(f"wrote {args.out}")

@@ -11,8 +11,9 @@ perform are value-preserving:
 * :func:`eliminate_identities` removes Identity/Dropout nodes;
 * :func:`eliminate_dead_nodes` drops nodes whose outputs are never
   consumed;
-* :func:`fold_constants` pre-computes nodes whose inputs are all
-  initializers with data;
+* :func:`fold_shape_constants` folds statically known ``Shape`` nodes
+  and pre-computes every node whose inputs are all initializers with
+  data;
 * :func:`fuse_conv_activations` absorbs activation/scalar epilogues
   into Conv/Gemm/MatMul nodes (``fused_ops`` token attribute);
 * :func:`fuse_elementwise_chains` collapses unary/scalar-binary chains
@@ -49,10 +50,9 @@ from .shape_inference import _shape_slice_bounds, infer_shapes
 from .tensor import DataType, Initializer, TensorInfo
 
 __all__ = ["fold_batchnorm", "eliminate_identities", "eliminate_dead_nodes",
-           "fold_constants", "fold_shape_constants", "optimize",
-           "fuse_conv_activations", "fuse_elementwise_chains",
-           "eliminate_common_subexpressions", "optimize_graph",
-           "plan_pipeline", "pipeline_fingerprint", "OPTIMIZE_LEVELS"]
+           "fold_shape_constants", "fuse_conv_activations",
+           "fuse_elementwise_chains", "eliminate_common_subexpressions",
+           "optimize_graph", "plan_pipeline", "OPTIMIZE_LEVELS"]
 
 
 def _rename_consumers(graph: Graph, old: str, new: str) -> None:
@@ -171,72 +171,23 @@ def eliminate_dead_nodes(graph: Graph, in_place: bool = False) -> Graph:
 _NO_FOLD = {"RandomNormal", "RandomUniform"}
 
 
-def fold_constants(graph: Graph, in_place: bool = False,
-                   max_elements: int = 1 << 20) -> Graph:
-    """Execute nodes whose inputs are all data-carrying initializers and
-    replace them with constant initializers.
-
-    Results larger than ``max_elements`` stay unfolded (folding a giant
-    expanded weight would bloat the model file).
-    """
-    g = graph if in_place else graph.copy()
-    if not g.value_info:
-        infer_shapes(g)
-    changed = True
-    while changed:
-        changed = False
-        for node in g.toposort():
-            if node.op_type in _NO_FOLD or node.op_type not in _EXEC:
-                continue
-            inits = []
-            ok = True
-            for t in node.inputs:
-                if not t:
-                    inits.append(None)
-                    continue
-                init = g.initializers.get(t)
-                if init is None or init.is_virtual:
-                    ok = False
-                    break
-                inits.append(init.data)
-            if not ok or not node.inputs:
-                continue
-            out_elems = sum(g.tensor(o).numel for o in node.outputs)
-            if out_elems > max_elements:
-                continue
-            try:
-                results = _EXEC[node.op_type](node, inits)
-            except Exception:
-                continue
-            for out_name, value in zip(node.outputs, results):
-                value = np.asarray(value)
-                g.add_initializer(Initializer(
-                    TensorInfo(out_name, value.shape,
-                               DataType.from_numpy(value.dtype)),
-                    value))
-            g.remove_nodes([node])
-            changed = True
-            break
-    infer_shapes(g)
-    return g
-
-
 def fold_shape_constants(graph: Graph, in_place: bool = False,
                          max_elements: int = 1 << 20) -> Graph:
     """Fold ``Shape`` nodes with statically known input shapes, then
     collapse every downstream constant subgraph in one worklist sweep.
 
-    This is the plan-time companion of :func:`fold_constants`: because
-    the executor rejects feeds whose shape differs from the declared
-    input shape, a ``Shape`` node over a fully static tensor is a
-    compile-time constant — and once it folds, the shape-arithmetic
+    Because the executor rejects feeds whose shape differs from the
+    declared input shape, a ``Shape`` node over a fully static tensor is
+    a compile-time constant — and once it folds, the shape-arithmetic
     chains behind ``Reshape``/``Slice``/``Expand`` operands
-    (``Shape -> Gather -> Unsqueeze -> Concat``) fold with it.  Unlike
-    :func:`fold_constants`, which rescans the graph after every single
-    fold, this pass seeds a worklist with foldable nodes and pushes
-    consumers as their inputs become constant, so it is linear in graph
-    size.  Folding is value-preserving: each node is evaluated by the
-    same kernel the executor would have used at run time.
+    (``Shape -> Gather -> Unsqueeze -> Concat``) fold with it, as does
+    any other node whose inputs are all data-carrying initializers.
+    The pass seeds a worklist with foldable nodes and pushes consumers
+    as their inputs become constant, so it is linear in graph size.
+    Results larger than ``max_elements`` stay unfolded, and virtual
+    (lazily drawn) weights are never materialized.  Folding is
+    value-preserving: each node is evaluated by the same kernel the
+    executor would have used at run time.
     """
     g = graph if in_place else graph.copy()
     if not g.value_info:
@@ -578,17 +529,6 @@ def eliminate_common_subexpressions(graph: Graph,
     return g
 
 
-def optimize(graph: Graph) -> Graph:
-    """The standard pass pipeline runtimes apply before engine building."""
-    g = eliminate_identities(graph)
-    g = fold_constants(g)
-    g = fold_batchnorm(g, in_place=True)
-    g = eliminate_dead_nodes(g, in_place=True)
-    infer_shapes(g)
-    g.validate()
-    return g
-
-
 # ---------------------------------------------------------------------------
 # the leveled plan-compiler pipeline
 # ---------------------------------------------------------------------------
@@ -602,6 +542,11 @@ _PASS_REGISTRY = {
     "eliminate_dead_nodes": eliminate_dead_nodes,
 }
 
+_O2_PASSES = ("eliminate_identities", "fold_shape_constants",
+              "fold_batchnorm", "fuse_conv_activations",
+              "fuse_elementwise_chains", "eliminate_common_subexpressions",
+              "eliminate_dead_nodes")
+
 #: optimization levels for :func:`optimize_graph` / ``compile_plan``:
 #: 0 keeps the historical plan behavior (shape-constant folding only);
 #: 1 adds every *bit-exact* rewrite; 2 adds BatchNorm weight folding
@@ -612,17 +557,11 @@ OPTIMIZE_LEVELS = {
     1: ("eliminate_identities", "fold_shape_constants",
         "fuse_conv_activations", "fuse_elementwise_chains",
         "eliminate_common_subexpressions", "eliminate_dead_nodes"),
-    2: ("eliminate_identities", "fold_shape_constants", "fold_batchnorm",
-        "fuse_conv_activations", "fuse_elementwise_chains",
-        "eliminate_common_subexpressions", "eliminate_dead_nodes"),
+    2: _O2_PASSES,
     # O3 runs the same graph rewrites as O2; the extra optimizations
     # (dataflow scheduling, arena memory planning, weight pre-packing)
-    # live in plan compilation, not graph rewriting.  The level still
-    # fingerprints distinctly (the "O3:" prefix) so cached O3 plans
-    # never alias O2 keys.
-    3: ("eliminate_identities", "fold_shape_constants", "fold_batchnorm",
-        "fuse_conv_activations", "fuse_elementwise_chains",
-        "eliminate_common_subexpressions", "eliminate_dead_nodes"),
+    # live in plan compilation, not graph rewriting
+    3: _O2_PASSES,
 }
 
 
@@ -634,16 +573,6 @@ def plan_pipeline(level: int) -> Tuple[str, ...]:
         raise ValueError(
             f"unknown optimization level {level!r}; "
             f"expected one of {sorted(OPTIMIZE_LEVELS)}") from None
-
-
-def pipeline_fingerprint(level: int) -> str:
-    """Stable identifier of level + pass list, for plan cache keys.
-
-    Including the pass names (not just the level number) means a cache
-    shared across versions with different pipeline definitions can
-    never alias an optimized plan onto the wrong key.
-    """
-    return f"O{int(level)}:" + "+".join(plan_pipeline(level))
 
 
 def optimize_graph(graph: Graph, level: int = 1,

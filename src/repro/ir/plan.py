@@ -4,9 +4,11 @@
 it re-materializes weights, re-runs kernel dispatch, re-parses node
 attributes, re-resolves padding, and allocates fresh im2col / padding
 scratch for every convolution.  That is the right trade-off for a
-one-shot reference check, but profiling workloads execute the same
-graph many times (accuracy experiments, sweeps, the fig. 7 block
-comparison), where all of that work is invariant across runs.
+one-shot reference check, but repeated runs of one graph — the
+differential harness (:mod:`repro.check`), ``proof run --execute`` —
+redo work that is invariant across runs.  Profiling never executes a
+model: :meth:`repro.core.profiler.Profiler.profile` reads latencies
+from the backend, so nothing on the profile path compiles a plan.
 
 :class:`ExecutionPlan` moves the invariant work to compile time:
 
@@ -83,7 +85,7 @@ from .fusion import decode_op
 from .graph import Graph
 from .memplan import ArenaPlan, TensorRequest, plan_arena
 from .node import Node
-from .passes import fold_shape_constants, optimize_graph
+from .passes import optimize_graph
 from .schedule import Schedule, build_schedule
 from .shape_inference import infer_shapes
 
@@ -245,7 +247,7 @@ class _O3Step:
 class ExecutionPlan:
     """A graph compiled for repeated execution (see module docstring)."""
 
-    def __init__(self, graph: Graph, seed: int = 0, fold: bool = True,
+    def __init__(self, graph: Graph, seed: int = 0,
                  optimize: int = 0) -> None:
         self.graph = graph
         self.seed = seed
@@ -267,11 +269,7 @@ class ExecutionPlan:
                 init = work.initializers.get(name)
                 if init is not None and init.data is None:
                     init.data = arr
-        if self.optimize_level > 0:
-            work = optimize_graph(work, level=self.optimize_level,
-                                  in_place=True)
-        elif fold:
-            work = fold_shape_constants(work, in_place=True)
+        work = optimize_graph(work, level=self.optimize_level, in_place=True)
         self.plan_graph = work
         #: constants produced by plan-time folding (always materialized)
         self._folded_consts: Dict[str, np.ndarray] = {
@@ -1493,7 +1491,7 @@ class ExecutionPlan:
                 f"O{self.optimize_level})")
 
 
-def compile_plan(graph: Graph, seed: int = 0, fold: bool = True,
+def compile_plan(graph: Graph, seed: int = 0,
                  optimize: int = 0) -> ExecutionPlan:
     """Compile ``graph`` for repeated execution.
 
@@ -1503,4 +1501,4 @@ def compile_plan(graph: Graph, seed: int = 0, fold: bool = True,
     BatchNorm folding and numerics-relaxed kernels, 3 adds dataflow
     scheduling, static arena memory planning and weight pre-packing.
     """
-    return ExecutionPlan(graph, seed=seed, fold=fold, optimize=optimize)
+    return ExecutionPlan(graph, seed=seed, optimize=optimize)

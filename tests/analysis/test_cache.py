@@ -14,6 +14,11 @@ from repro.models import shufflenet_v2
 from repro.obs.metrics import default_registry
 
 
+#: four precisions, so the arep tier gets four distinct keys per graph
+PRECISIONS = (DataType.FLOAT32, DataType.FLOAT16, DataType.BFLOAT16,
+              DataType.INT8)
+
+
 def small_graph(image_size=32):
     return shufflenet_v2(0.5, batch_size=1, image_size=image_size)
 
@@ -61,22 +66,16 @@ class TestTiers:
         assert cache.stats()["arep"] == {"hits": 1, "misses": 2,
                                          "evictions": 0}
 
-    def test_plan_memoized_per_seed(self):
-        cache = AnalysisCache()
-        g = small_graph()
-        assert cache.plan(g, seed=0) is cache.plan(g, seed=0)
-        assert cache.plan(g, seed=0) is not cache.plan(g, seed=1)
-
     def test_lru_eviction(self):
         cache = AnalysisCache(max_entries=2)
         g = small_graph()
-        plans = [cache.plan(g, seed=i) for i in range(4)]
-        assert cache.stats()["plan"] == {"hits": 0, "misses": 4,
+        areps = [cache.arep(g, p) for p in PRECISIONS]
+        assert cache.stats()["arep"] == {"hits": 0, "misses": 4,
                                          "evictions": 2}
-        assert len(cache) == 3      # one shapes entry, two plans
+        assert len(cache) == 3      # one shapes entry, two areps
         # oldest entries were evicted: rebuilding counts as a miss
-        assert cache.plan(g, seed=0) is not plans[0]
-        assert cache.stats()["plan"]["misses"] == 5
+        assert cache.arep(g, PRECISIONS[0]) is not areps[0]
+        assert cache.stats()["arep"]["misses"] == 5
 
     def test_clear_resets_entries_and_stats(self):
         cache = AnalysisCache()
@@ -212,31 +211,16 @@ class TestBatchSizeGuard:
 
 
 class TestPlanTierOptimizeKeys:
-    """The plan key must carry the optimization pipeline, not just the
-    fingerprint+seed, so differently-optimized plans never alias."""
-
-    def test_levels_do_not_alias(self):
-        cache = AnalysisCache()
-        g = small_graph()
-        p0 = cache.plan(g, seed=0, optimize=0)
-        p1 = cache.plan(g, seed=0, optimize=1)
-        assert p0 is not p1
-        assert (p0.optimize_level, p1.optimize_level) == (0, 1)
-        # same level re-requested hits the existing entry
-        assert cache.plan(g, seed=0, optimize=1) is p1
-        assert cache.plan(g, seed=0, optimize=0) is p0
-
-    def test_legacy_signature_means_level_zero(self):
-        cache = AnalysisCache()
-        g = small_graph()
-        assert cache.plan(g, seed=0) is cache.plan(g, seed=0, optimize=0)
+    """A keyed whole-graph tier counts one miss per build and one hit
+    per reuse (the class is named after the removed plan tier, whose
+    counts this check first covered)."""
 
     def test_miss_counts_mirror_hit_counts(self):
         cache = AnalysisCache()
         g = small_graph()
-        cache.plan(g, seed=0, optimize=1)
-        cache.plan(g, seed=0, optimize=1)
-        assert cache.stats()["plan"] == {"hits": 1, "misses": 1,
+        cache.arep(g, DataType.INT8)
+        cache.arep(g, DataType.INT8)
+        assert cache.stats()["arep"] == {"hits": 1, "misses": 1,
                                          "evictions": 0}
 
 
@@ -247,12 +231,12 @@ class TestTierSizing:
     def test_eviction_counter_in_eviction_counts(self):
         cache = AnalysisCache(max_entries=1)
         g = small_graph()
-        cache.plan(g, seed=0)
-        cache.plan(g, seed=1)
-        assert cache.stats()["plan"]["evictions"] == 1
-        # eviction really dropped the LRU entry: seed 0 rebuilds as a miss
-        cache.plan(g, seed=0)
-        assert cache.stats()["plan"]["misses"] == 3
+        cache.arep(g, DataType.FLOAT16)
+        cache.arep(g, DataType.FLOAT32)
+        assert cache.stats()["arep"]["evictions"] == 1
+        # eviction really dropped the LRU entry: fp16 rebuilds as a miss
+        cache.arep(g, DataType.FLOAT16)
+        assert cache.stats()["arep"]["misses"] == 3
 
     def test_layer_store_has_independent_capacity(self):
         from repro.analysis.layerstore import LayerStore

@@ -1,5 +1,6 @@
 """CLI tests: the ``proof`` entry point."""
 import json
+import re
 
 import pytest
 
@@ -40,6 +41,18 @@ def test_run_unsupported_model_returns_2(capsys):
                "--backend", "ov-sim"])
     assert rc == 2
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("level", [0, 3])
+def test_run_execute_reports_plan(capsys, level):
+    rc = main(["run", "--model", "mobilenetv2-05", "--top", "1",
+               "--execute", "--optimize", str(level)])
+    assert rc == 0
+    out = capsys.readouterr().out
+    match = re.search(rf"numpy runtime \(optimize={level}\): (\d+) steps",
+                      out)
+    assert match, out
+    assert int(match.group(1)) > 0
 
 
 def test_peak_default(capsys):

@@ -1,4 +1,6 @@
 """Batch-sweep utility tests."""
+import threading
+
 import pytest
 
 from repro.analysis.cache import AnalysisCache
@@ -80,7 +82,8 @@ class TestReportRoundtrip:
             report.latency_share_by_class())
 
 class TestParallelSweep:
-    """``jobs > 1`` must change wall-clock only, never the results."""
+    """A sweep profiles its points one after another; several sweeps
+    may run at once over one shared cache."""
 
     BATCHES = (1, 4, 16, 64)
 
@@ -89,14 +92,30 @@ class TestParallelSweep:
         return shufflenet_v2(0.5, batch_size=bs)
 
     def test_threaded_results_match_serial(self):
-        serial = sweep_batch_sizes(self.build, batch_sizes=self.BATCHES)
-        threaded = sweep_batch_sizes(self.build, batch_sizes=self.BATCHES,
-                                     jobs=3)
-        assert [p.batch_size for p in threaded.points] == list(self.BATCHES)
-        assert threaded.points == serial.points    # frozen dataclasses
-        assert threaded.model_name == serial.model_name
+        """Sweeps started from several threads over one cache return
+        exactly the points of a sweep run alone."""
+        serial = sweep_batch_sizes(self.build, batch_sizes=self.BATCHES,
+                                   analysis_cache=AnalysisCache())
+        cache = AnalysisCache()
+        results = [None] * 3
 
-    def test_threaded_precision_sweep_shares_one_graph_per_batch(self):
+        def run(i):
+            results[i] = sweep_batch_sizes(
+                self.build, batch_sizes=self.BATCHES, analysis_cache=cache)
+
+        threads = [threading.Thread(target=run, args=(i,))
+                   for i in range(len(results))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        for threaded in results:
+            assert [p.batch_size for p in threaded.points] == \
+                list(self.BATCHES)
+            assert threaded.points == serial.points    # frozen dataclasses
+            assert threaded.model_name == serial.model_name
+
+    def test_precision_sweep_shares_one_graph_per_batch(self):
         """Every precision's point at a batch profiles one shared graph;
         sibling precisions assemble from the first one's structure,
         re-timing its truth units after its OAR is gone."""
@@ -107,40 +126,30 @@ class TestParallelSweep:
             return self.build(bs)
 
         precisions = ("fp32", "fp16", "int8")
-        serial = sweep_batch_sizes(self.build, batch_sizes=(1, 4),
-                                   precisions=precisions,
-                                   analysis_cache=AnalysisCache())
-        threaded = sweep_batch_sizes(build, batch_sizes=(1, 4),
-                                     precisions=precisions, jobs=2,
-                                     analysis_cache=AnalysisCache())
+        cold = sweep_batch_sizes(self.build, batch_sizes=(1, 4),
+                                 precisions=precisions,
+                                 analysis_cache=False)
+        sweep = sweep_batch_sizes(build, batch_sizes=(1, 4),
+                                  precisions=precisions,
+                                  analysis_cache=AnalysisCache())
         assert sorted(built) == [1, 4]
-        assert len(threaded.points) == len(precisions) * 2
-        assert threaded.points == serial.points
-        # two workers take points in order, so whichever of the first
-        # two finishes first donates to a later point at its batch
-        assert threaded.cache_stats["structure"]["hits"] > 0
-
-    def test_more_jobs_than_points_is_fine(self):
-        sweep = sweep_batch_sizes(self.build, batch_sizes=(1, 2), jobs=16)
-        assert [p.batch_size for p in sweep.points] == [1, 2]
-
-    def test_jobs_validation(self):
-        with pytest.raises(ValueError, match="jobs must be positive"):
-            sweep_batch_sizes(self.build, batch_sizes=(1,), jobs=0)
+        assert len(sweep.points) == len(precisions) * 2
+        assert sweep.points == cold.points
+        # fp32 donates its structure to fp16 and int8 at each batch
+        assert sweep.cache_stats["structure"]["hits"] > 0
 
     def test_per_point_spans_parented_to_sweep_root(self):
         from repro.obs import Tracer, set_tracer
         tracer = Tracer()
         set_tracer(tracer)
         try:
-            sweep_batch_sizes(self.build, batch_sizes=(1, 4), jobs=2)
+            sweep_batch_sizes(self.build, batch_sizes=(1, 4))
         finally:
             set_tracer(None)
         spans = tracer.spans()
         roots = [s for s in spans if s.name == "sweep"]
         points = [s for s in spans if s.name == "sweep.point"]
         assert len(roots) == 1 and len(points) == 2
-        # worker threads have no ambient stack: parenting is explicit
         assert all(p.parent_id == roots[0].span_id for p in points)
         assert {p.attributes["batch"] for p in points} == {1, 4}
-        assert roots[0].attributes["jobs"] == 2
+        assert roots[0].attributes["points"] == 2

@@ -231,13 +231,18 @@ def test_analysis_cache_counters_cover_every_tier_once():
         _, before = exported(service.metrics_text())
         service.profile("mobilenetv2-05", batch_size=1)
         types, after = exported(service.metrics_text())
-    for tier in AnalysisCache.TIERS:
+    tiers = ("shapes", "arep", "mapped", "layer", "structure")
+    assert AnalysisCache.TIERS == tiers
+    expected = set()
+    for tier in tiers:
         for kind in ("hits", "misses", "evictions"):
             base = f"analysis_cache_{tier}_{kind}"
             assert types[f"{base}_total"] == ["counter"]
             assert base not in types
-    # the job looked up every tier a profile touches
-    for tier in ("shapes", "arep", "mapped", "layer", "structure"):
+            expected.add(f"{base}_total")
+    assert {n for n in types if n.startswith("analysis_cache_")} == expected
+    # the job looked up every tier, each of which a profile touches
+    for tier in tiers:
         lookups = [f"analysis_cache_{tier}_{kind}_total"
                    for kind in ("hits", "misses")]
         assert sum(after[n] for n in lookups) > \

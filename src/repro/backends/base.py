@@ -35,6 +35,7 @@ from ..obs.trace import get_tracer
 __all__ = [
     "BackendLayer", "BackendModel", "Backend", "BackendError",
     "UnsupportedModelError", "LayerKind", "work_item_for_unit",
+    "layer_latency",
 ]
 
 
@@ -157,6 +158,33 @@ def reformat_work_item(name: str, info: TensorInfo,
     )
 
 
+def layer_latency(unit, name: str, arep: AnalyzeRepresentation,
+                  sim: LatencySimulator, precision: DataType,
+                  store, spec_key: str) -> float:
+    """Simulated latency of one backend layer from its ground-truth unit.
+
+    ``unit`` is the (fused) analysis unit the layer executes, or
+    ``("reformat", TensorInfo)`` for a conversion copy.  With a layer
+    ``store`` the latency is memoized under the layer's name-free
+    fingerprint, ``spec_key`` and precision, so a shape already timed —
+    in any graph — skips the simulator; without one the simulator runs
+    and no fingerprint is built.
+    """
+    reformat = isinstance(unit, tuple)
+
+    def compute() -> float:
+        item = reformat_work_item(name, unit[1], precision) if reformat \
+            else work_item_for_unit(unit, arep, precision, name=name)
+        return sim.time(item).seconds
+
+    if store is None:
+        return compute()
+    fingerprint = tensor_fingerprint(unit[1]) if reformat \
+        else unit.layer_fingerprint()
+    return store.record(("latency", fingerprint, spec_key, precision.value),
+                        compute)
+
+
 class Backend(abc.ABC):
     """A simulated DNN inference runtime."""
 
@@ -202,11 +230,9 @@ class Backend(abc.ABC):
                            truth: OptimizedAnalyzeRepresentation) -> None:
         sim = LatencySimulator(model.spec)
         # when the AR carries a layer store, per-layer latencies are
-        # memoized under name-free layer fingerprints: a layer shape
-        # already timed — in any graph — skips the simulator entirely
+        # memoized under name-free layer fingerprints
         store = getattr(arep, "layer_store", None)
         spec_key = spec_cache_key(model.spec) if store is not None else ""
-        prec = model.precision.value
         # layers name members by AnalyzedOp.name (unique per AR, with a
         # fallback for unnamed nodes), so truth units are keyed by it too
         units_by_first_member: Dict[str, object] = {
@@ -215,30 +241,13 @@ class Backend(abc.ABC):
         for layer in model.layers:
             if layer.is_reformat:
                 src = layer.true_alias[0] if layer.true_alias else layer.inputs[0]
-                info = arep.tensor(src)
-                truth_aligned.append(("reformat", info))
-
-                def compute(info=info, name=layer.name):
-                    return sim.time(reformat_work_item(
-                        name, info, model.precision)).seconds
-
-                record_key = ("latency", tensor_fingerprint(info),
-                              spec_key, prec)
+                unit = ("reformat", arep.tensor(src))
             else:
                 unit = units_by_first_member.get(layer.true_member_names[0])
                 if unit is None:
                     raise BackendError(
                         f"internal: no truth unit for layer {layer.name!r}")
-                truth_aligned.append(unit)
-
-                def compute(unit=unit, name=layer.name):
-                    return sim.time(work_item_for_unit(
-                        unit, arep, model.precision, name=name)).seconds
-
-                record_key = ("latency", unit.layer_fingerprint(),
-                              spec_key, prec)
-            if store is None:
-                layer.latency_seconds = compute()
-            else:
-                layer.latency_seconds = store.record(record_key, compute)
+            truth_aligned.append(unit)
+            layer.latency_seconds = layer_latency(
+                unit, layer.name, arep, sim, model.precision, store, spec_key)
         model.truth_units = truth_aligned

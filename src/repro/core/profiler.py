@@ -28,13 +28,11 @@ from ..analysis.cache import AnalysisCache, MappedEntry, shared_analysis_cache
 from ..analysis.oarep import OptimizedAnalyzeRepresentation
 from ..analysis.opdefs import OpClass
 from ..backends import Backend, backend_by_name, map_layers
-from ..backends.base import (BackendModel, reformat_work_item,
-                             work_item_for_unit)
+from ..backends.base import BackendModel, layer_latency
 from ..backends.mapping import MappedLayer, ReformatUnit
 from ..hardware.counters import CounterProfiler
 from ..hardware.latency import LatencySimulator
 from ..hardware.specs import HardwareSpec, platform, spec_cache_key
-from ..ir.fingerprint import tensor_fingerprint
 from ..ir.graph import Graph
 from ..ir.tensor import DataType
 from ..obs.metrics import MetricsRegistry
@@ -211,27 +209,11 @@ class Profiler:
         store = self.analysis_cache.layer_store
         sim = LatencySimulator(self.spec)
         spec_key = self._spec_key()
-        prec = self.precision.value
         new_layers = []
         new_mapped = []
         for layer, unit, m in zip(compiled.layers, truth, donor.mapped):
-            if isinstance(unit, tuple):  # ("reformat", TensorInfo)
-                info = unit[1]
-
-                def compute(info=info, name=layer.name):
-                    return sim.time(reformat_work_item(
-                        name, info, self.precision)).seconds
-
-                record_key = ("latency", tensor_fingerprint(info),
-                              spec_key, prec)
-            else:
-                def compute(unit=unit, name=layer.name):
-                    return sim.time(work_item_for_unit(
-                        unit, donor.arep, self.precision, name=name)).seconds
-
-                record_key = ("latency", unit.layer_fingerprint(),
-                              spec_key, prec)
-            latency = store.record(record_key, compute)
+            latency = layer_latency(unit, layer.name, donor.arep, sim,
+                                    self.precision, store, spec_key)
             new_layer = dataclasses.replace(
                 layer,
                 inputs=list(layer.inputs), outputs=list(layer.outputs),

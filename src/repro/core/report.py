@@ -9,7 +9,7 @@ read them directly.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 from ..analysis.opdefs import OpClass
@@ -146,9 +146,35 @@ class ProfileReport:
 
     # ------------------------------------------------------------------
     def to_dict(self) -> Dict:
-        doc = asdict(self)
-        if not doc.get("stage_seconds"):
-            doc.pop("stage_seconds", None)
+        """The JSON document: the fields in declaration order (built
+        directly, since ``dataclasses.asdict`` deep-copies every layer),
+        ``stage_seconds`` only when non-empty, then ``derived``."""
+        e2e = self.end_to_end
+        doc = {
+            "model_name": self.model_name,
+            "backend_name": self.backend_name,
+            "platform_name": self.platform_name,
+            "precision": self.precision,
+            "batch_size": self.batch_size,
+            "metric_source": self.metric_source,
+            "layers": [{
+                "name": l.name, "kind": l.kind, "op_class": l.op_class,
+                "latency_seconds": l.latency_seconds, "flop": l.flop,
+                "read_bytes": l.read_bytes, "write_bytes": l.write_bytes,
+                "model_layers": list(l.model_layers),
+                "folded_layers": list(l.folded_layers),
+            } for l in self.layers],
+            "end_to_end": {
+                "latency_seconds": e2e.latency_seconds, "flop": e2e.flop,
+                "memory_bytes": e2e.memory_bytes,
+                "batch_size": e2e.batch_size,
+            },
+            "peak_flops": self.peak_flops,
+            "peak_bandwidth": self.peak_bandwidth,
+            "profiling_overhead_seconds": self.profiling_overhead_seconds,
+        }
+        if self.stage_seconds:
+            doc["stage_seconds"] = dict(self.stage_seconds)
         doc["derived"] = {
             "achieved_gflops": self.end_to_end.achieved_flops / 1e9,
             "achieved_bandwidth_gbs": self.end_to_end.achieved_bandwidth / 1e9,

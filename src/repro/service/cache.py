@@ -108,20 +108,25 @@ class ResultCache:
                 self._hits += 1
                 return entry[0]
         report = self._read_disk(key)
-        with self._lock:
-            if report is not None:
-                self._disk_hits += 1
-                self._insert(key, report, count_insertion=False)
-            else:
+        if report is None:
+            with self._lock:
                 self._misses += 1
+            return None
+        # sized before locking: a JSON encode under the lock would stall
+        # every concurrent get
+        size = self._payload_size(report)
+        with self._lock:
+            self._disk_hits += 1
+            self._insert(key, report, size, count_insertion=False)
         return report
 
     def put(self, key: str, report: ProfileReport) -> None:
         self._write_disk(key, report)
+        size = self._payload_size(report)
         with self._lock:
             # a real result supersedes any stale negative entry
             self._negative.pop(key, None)
-            self._insert(key, report, count_insertion=True)
+            self._insert(key, report, size, count_insertion=True)
 
     # -- negative tier --------------------------------------------------
     def put_failure(self, key: str, error: BaseException) -> None:
@@ -186,13 +191,12 @@ class ResultCache:
         return len(json.dumps(report.to_dict(),
                               separators=(",", ":")).encode("utf-8"))
 
-    def _insert(self, key: str, report: ProfileReport,
+    def _insert(self, key: str, report: ProfileReport, size: int,
                 count_insertion: bool) -> None:
         # caller holds the lock
         if key in self._entries:
             _, old_size = self._entries.pop(key)
             self._bytes -= old_size
-        size = self._payload_size(report)
         self._entries[key] = (report, size)
         self._bytes += size
         if count_insertion:

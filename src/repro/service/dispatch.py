@@ -6,12 +6,19 @@ short-circuits, single-flight dedup, the retry budget and completion):
 it fronts N shard *processes* (:mod:`repro.service.shard`) instead of
 N threads, so GIL-holding numpy kernels actually run in parallel.
 
-* **Consistent hashing** — a :class:`HashRing` with virtual nodes maps
-  every request fingerprint onto exactly one shard.  Identical
-  requests always land on the same process, so each shard's private
-  result/analysis caches stay hot for the key range it owns, and the
-  single-flight table needs no cross-process coordination: exactly one
-  task per fingerprint crosses the process boundary.
+* **Consistent hashing by graph** — a :class:`HashRing` with virtual
+  nodes maps the *graph* fingerprint of every request onto exactly one
+  shard.  Every configuration of one graph (each precision, backend
+  and platform) lands on the same process, so that shard's private
+  :class:`~repro.analysis.cache.AnalysisCache` builds the graph's
+  shapes, AR and fusion structure once and re-times the siblings from
+  its layer records, as the thread tier's shared cache does.  A job
+  whose request carries no graph routes by its request key.  Results
+  are cached only in the parent's :class:`ResultCache`, which the
+  policy consults before any job is dispatched, and the single-flight
+  table needs no cross-process coordination: exactly one task per
+  request fingerprint crosses the process boundary.  The cost is
+  balance: a hot graph's siblings queue on one shard.
 * **Load-shedding** — each shard carries a bounded waiting queue; when
   it is full, submission fails with :class:`ShardBusyError` carrying a
   ``retry_after`` estimate (EWMA service time x backlog), which the
@@ -33,6 +40,7 @@ import threading
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple, Type
 
 from ..backends.base import UnsupportedModelError
+from ..ir.fingerprint import graph_fingerprint
 from ..obs.metrics import MetricsRegistry
 from .cache import ResultCache
 from .policy import SchedulingPolicy
@@ -223,16 +231,21 @@ class Dispatcher(SchedulingPolicy):
         return sum(h.depth for h in self.shards.values())
 
     # ------------------------------------------------------------------
+    def shard_for(self, job: Job) -> int:
+        """The shard owning ``job``: by its request's graph fingerprint
+        (memoized on the graph), else by its request key."""
+        graph = getattr(job.request, "graph", None)
+        return self.ring.shard_for(
+            job.key if graph is None else graph_fingerprint(graph))
+
     def _enqueue(self, job: Job, span) -> None:
-        shard_id = self.ring.shard_for(job.key)
+        shard_id = self.shard_for(job)
         span.set("shard", shard_id)
         self.shards[shard_id].enqueue(job)
 
     # -- completion (runs on shard reader threads) ---------------------
     def _on_reply(self, handle: ShardHandle, job: Job, reply: dict) -> None:
         if reply["ok"]:
-            if reply.get("cache_hit"):
-                job.cache_hit = True
             self._event(handle, job, "succeeded")
             self._succeed(job, reply["result"],
                           reply.get("service_seconds", 0.0))

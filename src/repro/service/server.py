@@ -29,6 +29,9 @@ reports its error string rather than crashing the server.
 :class:`ShardedProfilingService` swaps the thread pool for the
 multi-process shard fleet (:mod:`repro.service.dispatch`) behind the
 same facade; :func:`make_service` picks the tier from a process count.
+Either way the service's own :class:`ResultCache` (with ``cache_dir``,
+its disk tier too) is the only result cache: fleet shards route by
+graph fingerprint and keep only analysis caches.
 """
 from __future__ import annotations
 
@@ -56,7 +59,6 @@ from .cache import ResultCache
 from .dispatch import Dispatcher, ShardBusyError
 from .fingerprint import ProfileRequest
 from .queue import Job, JobQueue, JobStatus, QueueFullError
-from .shard import ShardConfig
 from .workers import WorkerPool
 
 __all__ = ["ProfilingService", "ShardedProfilingService",
@@ -315,12 +317,14 @@ class ProfilingService:
 class ShardedProfilingService(ProfilingService):
     """The multi-process fleet: same API, process-level parallelism.
 
-    Validation, fingerprinting, the front result cache, job tracking
-    and tracing stay in this (parent) process; execution routes through
-    a :class:`~repro.service.dispatch.Dispatcher` onto ``processes``
-    shard processes, each owning a consistent-hash key range with its
-    own private result/analysis caches.  Numpy kernels hold the GIL,
-    so this is the tier that actually scales profiling throughput with
+    Validation, fingerprinting, the result cache (in memory and, with
+    ``cache_dir``, on disk), job tracking and tracing stay in this
+    (parent) process; execution routes through a
+    :class:`~repro.service.dispatch.Dispatcher` onto ``processes``
+    shard processes.  Placement is a function of the request's graph
+    fingerprint, so every configuration of one graph shares one
+    shard's private analysis cache.  Numpy kernels hold the GIL, so
+    this is the tier that actually scales profiling throughput with
     cores — see ``benchmarks/test_service_scaleout.py``.
 
     Differences from the thread-pool service:
@@ -330,6 +334,8 @@ class ShardedProfilingService(ProfilingService):
       ``Retry-After``) instead of :class:`QueueFullError` (``503``);
     * per-attempt timeouts kill the wedged shard process (the
       supervisor respawns it) instead of abandoning a helper thread;
+    * a hot graph's sibling configurations queue on one shard, so a
+      skewed mix can leave the other shards idle;
     * profiler spans from inside shard processes do not reach the
       parent tracer — ``/trace/<job>`` shows dispatch-level spans only.
     """
@@ -343,8 +349,6 @@ class ShardedProfilingService(ProfilingService):
         cache_entries: int = 512,
         cache_dir: Optional[str] = None,
         negative_ttl: float = 300.0,
-        shard_cache_bytes: int = 16 << 20,
-        shard_cache_entries: int = 256,
         max_retries: int = 2,
         backoff_seconds: float = 0.05,
         default_timeout: Optional[float] = None,
@@ -353,10 +357,6 @@ class ShardedProfilingService(ProfilingService):
         tracer: Optional[Tracer] = None,
     ) -> None:
         self.processes = processes
-        self._shard_config = ShardConfig(cache_bytes=shard_cache_bytes,
-                                         cache_entries=shard_cache_entries,
-                                         cache_dir=cache_dir,
-                                         negative_ttl=negative_ttl)
         # shards own their (process-private) analysis caches; the
         # parent-side one exists only for facade compatibility, so its
         # per-tier counters, which would always read zero, stay out of
@@ -376,8 +376,7 @@ class ShardedProfilingService(ProfilingService):
         self.dispatcher = Dispatcher(
             runner, cache=self.cache, metrics=self.metrics,
             processes=workers, shard_queue_size=queue_size,
-            backoff_seconds=backoff_seconds,
-            shard_config=self._shard_config, tracer=self.tracer)
+            backoff_seconds=backoff_seconds, tracer=self.tracer)
         return self.dispatcher
 
 

@@ -1,20 +1,22 @@
 """One shard of the multi-process worker fleet.
 
-A *shard* is an OS process that owns a contiguous key range of the
-result space (the dispatcher's consistent-hash ring decides which).
-Because every request for a fingerprint always lands on the same
-shard, the shard's private caches — its :class:`ResultCache` slice and
-its :class:`~repro.analysis.cache.AnalysisCache`/LayerStore — stay hot
-for exactly the keys it owns, and no cross-process cache coherence is
-needed.  Profiling is numpy-heavy Python that holds the GIL, so
-processes (not threads) are the unit that actually buys parallelism.
+A *shard* is an OS process that owns a range of graph fingerprints
+(the dispatcher's consistent-hash ring decides which).  Because every
+configuration of a graph lands on the same shard, the shard's private
+:class:`~repro.analysis.cache.AnalysisCache` and layer store stay hot
+for exactly the graphs it owns, and no cross-process cache coherence is
+needed.  Results are cached only in the parent: a job reaches a shard
+after the parent's result cache has missed, so the shard keeps no
+result cache of its own.  Profiling is numpy-heavy Python that holds
+the GIL, so processes (not threads) are the unit that actually buys
+parallelism.
 
 Two halves live here:
 
-* :func:`shard_main` — the child-process loop: receive ``(seq, key,
-  request)`` tasks over a pipe, consult the shard-private result
-  cache, run the runner (a fresh profiler around a process-private
-  analysis cache by default), reply with the result or a typed error.
+* :func:`shard_main` — the child-process loop: receive ``(seq,
+  request)`` tasks over a pipe, run the runner (a fresh profiler
+  around a process-private analysis cache by default), reply with the
+  result or a typed error.
 * :class:`ShardHandle` — the parent-side proxy: a bounded waiting
   queue with load-shedding, exactly one task outstanding in the child
   at a time, a reader thread that completes jobs, per-attempt timeout
@@ -30,7 +32,6 @@ process.
 from __future__ import annotations
 
 import multiprocessing
-import os
 import signal
 import threading
 import time
@@ -39,7 +40,6 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Deque, List, Optional, Tuple, Type
 
 from ..backends.base import UnsupportedModelError
-from .cache import ResultCache
 from .queue import Job, JobStatus
 
 __all__ = ["ShardConfig", "ShardHandle", "shard_main", "fleet_context"]
@@ -66,10 +66,6 @@ def fleet_context() -> multiprocessing.context.BaseContext:
 class ShardConfig:
     """Per-shard knobs, shipped to the child process once at spawn."""
 
-    cache_bytes: int = 16 << 20
-    cache_entries: int = 256
-    cache_dir: Optional[str] = None
-    negative_ttl: float = 300.0
     fatal_exceptions: Tuple[Type[BaseException], ...] = field(
         default=(UnsupportedModelError,))
 
@@ -94,7 +90,7 @@ def _default_shard_runner(config: ShardConfig) -> Callable[[Any], Any]:
     return run
 
 
-def shard_main(shard_id: int, conn, runner: Optional[Callable[[Any], Any]],
+def shard_main(conn, runner: Optional[Callable[[Any], Any]],
                config: ShardConfig) -> None:
     """Child-process loop: tasks in, results out, until EOF or stop."""
     try:
@@ -106,13 +102,6 @@ def shard_main(shard_id: int, conn, runner: Optional[Callable[[Any], Any]],
         pass                    # non-main thread (tests driving inline)
     if runner is None:
         runner = _default_shard_runner(config)
-    disk_dir = None
-    if config.cache_dir:
-        disk_dir = os.path.join(config.cache_dir, f"shard-{shard_id}")
-    cache = ResultCache(max_bytes=config.cache_bytes,
-                        max_entries=config.cache_entries,
-                        disk_dir=disk_dir,
-                        negative_ttl=config.negative_ttl)
     while True:
         try:
             msg = conn.recv()
@@ -120,24 +109,14 @@ def shard_main(shard_id: int, conn, runner: Optional[Callable[[Any], Any]],
             return
         if msg[0] == "stop":
             return
-        _, seq, key, request = msg
+        _, seq, request = msg
         started = time.monotonic()
         started_cpu = time.process_time()
         ok, result, error = True, None, None
         try:
-            # the parent's policy already missed its result and negative
-            # caches; this shard-private slice keeps the owned key range
-            # warm across parent evictions (and on disk, per shard)
-            result = cache.get(key)
-            cache_hit = result is not None
-            if not cache_hit:
-                result = runner(request)
-                try:
-                    cache.put(key, result)
-                except Exception:
-                    pass    # uncacheable result: serve, don't store
+            result = runner(request)
         except BaseException as exc:  # noqa: BLE001 - reported to parent
-            ok, result, cache_hit = False, None, False
+            ok = False
             error = (type(exc).__name__, str(exc),
                      isinstance(exc, config.fatal_exceptions))
         # wall time drives utilization + Retry-After ETAs; CPU time is
@@ -147,12 +126,11 @@ def shard_main(shard_id: int, conn, runner: Optional[Callable[[Any], Any]],
                    "cpu_seconds": time.process_time() - started_cpu}
         try:
             conn.send(("done", seq, {"ok": ok, "result": result,
-                                     "error": error, "cache_hit": cache_hit,
-                                     **elapsed}))
+                                     "error": error, **elapsed}))
         except Exception as exc:  # unpicklable result, closed pipe, ...
             try:
                 conn.send(("done", seq, {
-                    "ok": False, "result": None, "cache_hit": False,
+                    "ok": False, "result": None,
                     "error": (type(exc).__name__,
                               f"shard reply failed: {exc}", False),
                     **elapsed}))
@@ -216,7 +194,7 @@ class ShardHandle:
         parent_conn, child_conn = self._ctx.Pipe(duplex=True)
         proc = self._ctx.Process(
             target=shard_main,
-            args=(self.shard_id, child_conn, self._runner, self._config),
+            args=(child_conn, self._runner, self._config),
             name=f"proof-shard-{self.shard_id}", daemon=True)
         proc.start()
         child_conn.close()
@@ -345,7 +323,7 @@ class ShardHandle:
                 self._current_deadline = \
                     time.monotonic() + job.timeout_seconds
             try:
-                conn.send(("job", self._seq, job.key, job.request))
+                conn.send(("job", self._seq, job.request))
             except (OSError, BrokenPipeError):
                 # child died between is_alive() and send; the
                 # supervisor will drain _current and re-dispatch

@@ -139,10 +139,15 @@ def test_each_layer_analysed_once_per_cold_profile(backend, cached,
     Profiler(backend, PLATFORMS[backend], DataType.FLOAT16,
              analysis_cache=cache).profile(graph)
     assert analyses["arep"] == 1
-    assert 0 < analyses["node_doc"] <= len(graph.nodes)
+    if cached:
+        assert 0 < analyses["node_doc"] <= len(graph.nodes)
+    else:
+        # no layer store keys latencies by layer fingerprint, so no
+        # node or group is fingerprinted at all
+        assert analyses["node_doc"] == 0
     assert analyses["group_node_doc"] == 0
     # truth and mapped units over the same members share one record
     distinct = len(analyses.fused_keys)
     assert 0 < distinct < analyses["fused_units"]
     assert analyses["fused_io"] == distinct
-    assert analyses["group_fp"] == distinct
+    assert analyses["group_fp"] == (distinct if cached else 0)

@@ -1,10 +1,14 @@
 """Report-model edge cases and viewer formatting helpers."""
+import dataclasses
+import json
 import math
 
 import pytest
 
 from repro.core.dataviewer import _si as viewer_si
+from repro.core.profiler import Profiler
 from repro.core.report import EndToEnd, LayerProfile, ProfileReport
+from repro.models.registry import build_model
 
 
 def make_report(layers):
@@ -90,3 +94,44 @@ class TestSiFormatting:
         from repro.core.htmlreport import _si
         assert _si(3.2e9, "B") == "3.20 GB"
         assert _si(5.0, "B") == "5.00 B"
+
+
+def _asdict_reference(report):
+    """The document ``to_dict`` produced when it was ``asdict``-based."""
+    doc = dataclasses.asdict(report)
+    if not doc.get("stage_seconds"):
+        doc.pop("stage_seconds", None)
+    e2e = report.end_to_end
+    doc["derived"] = {
+        "achieved_gflops": e2e.achieved_flops / 1e9,
+        "achieved_bandwidth_gbs": e2e.achieved_bandwidth / 1e9,
+        "arithmetic_intensity": e2e.arithmetic_intensity,
+        "throughput_per_second": e2e.throughput_per_second,
+    }
+    return doc
+
+
+class TestToDict:
+    @pytest.mark.parametrize("model,backend,platform,precision", [
+        ("mobilenetv2-05", "trt-sim", "a100", "fp16"),
+        ("resnet34", "ort-sim", "xeon6330", "fp32"),
+        ("vit-tiny", "ov-sim", "xeon6330", "fp32"),
+    ])
+    @pytest.mark.parametrize("stages", [False, True])
+    def test_matches_asdict_reference(self, model, backend, platform,
+                                      precision, stages):
+        report = Profiler(backend, platform, precision,
+                          analysis_cache=False).profile(build_model(model))
+        if stages:
+            report.stage_seconds = {"compile": 1e-3, "mapping": 2e-4}
+        doc = report.to_dict()
+        ref = _asdict_reference(report)
+        assert doc == ref
+        # same keys in the same order at every level, so the JSON text
+        # (and every file saved from it) is unchanged
+        assert json.dumps(doc) == json.dumps(ref)
+        assert ("stage_seconds" in doc) is stages
+        # the document is a copy: editing it leaves the report alone
+        doc["layers"][0]["model_layers"].append("x")
+        doc.get("stage_seconds", {})["compile"] = 9.0
+        assert report.to_dict() == ref

@@ -1,4 +1,6 @@
 """Result-cache tests: LRU accounting, byte budgets, the disk tier."""
+import threading
+
 import pytest
 
 from repro.ir.fingerprint import report_digest
@@ -179,3 +181,66 @@ def test_negative_tier_bounded_by_max_entries():
     assert cache.stats().negative_entries == 3
     assert cache.get_failure("k0") is None       # oldest evicted
     assert cache.get_failure("k4") is not None
+
+
+class _BlockingSize:
+    """Holds a cache's sizing step until released."""
+
+    def __init__(self, size):
+        self.entered = threading.Event()
+        self.release = threading.Event()
+        self._size = size
+
+    def __call__(self, report):
+        self.entered.set()
+        assert self.release.wait(10.0)
+        return self._size(report)
+
+
+def _get_returns_while_sizing(cache, blocking, insert, key):
+    """Run ``insert`` until it blocks in sizing; a ``get`` of ``key``
+    from another thread must still return."""
+    inserter = threading.Thread(target=insert)
+    inserter.start()
+    try:
+        assert blocking.entered.wait(5.0)
+        got = []
+        reader = threading.Thread(target=lambda: got.append(cache.get(key)))
+        reader.start()
+        reader.join(2.0)
+        assert not reader.is_alive(), "get blocked behind a sizing step"
+        return got[0]
+    finally:
+        blocking.release.set()
+        inserter.join(5.0)
+
+
+def test_put_sizes_outside_the_lock(make_report):
+    cache = ResultCache()
+    warm = make_report("warm")
+    cache.put("warm", warm)
+    blocking = _BlockingSize(lambda report: 64)
+
+    class SlowReport:
+        def to_dict(self):
+            return {"size": blocking(self)}
+
+    assert _get_returns_while_sizing(
+        cache, blocking, lambda: cache.put("slow", SlowReport()),
+        "warm") is warm
+    assert "slow" in cache
+
+
+def test_disk_hit_sizes_outside_the_lock(tmp_path, make_report):
+    cache = ResultCache(disk_dir=str(tmp_path))
+    warm = make_report("warm")
+    cache.put("warm", warm)
+    cache.put("cold", make_report("cold"))
+    cache.clear()
+    cache.put("warm", warm)
+    blocking = _BlockingSize(cache._payload_size)
+    cache._payload_size = blocking
+    assert _get_returns_while_sizing(
+        cache, blocking, lambda: cache.get("cold"), "warm") is warm
+    assert "cold" in cache
+    assert cache.stats().disk_hits == 1

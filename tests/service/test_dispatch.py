@@ -1,4 +1,5 @@
-"""Fleet dispatcher tests: hash ring, dedup, shedding, crash recovery.
+"""Fleet dispatcher tests: hash ring, graph routing, dedup, shedding,
+crash recovery.
 
 The Dispatcher tests run real shard *processes* (fork context), so the
 synthetic runners below are closures inherited by the children — no
@@ -12,9 +13,12 @@ import pytest
 
 from repro.backends.base import UnsupportedModelError
 from repro.service.cache import ResultCache
+from repro.ir.fingerprint import graph_fingerprint
+from repro.models.registry import build_model
 from repro.service.dispatch import (Dispatcher, HashRing, ShardBusyError,
                                     WorkerCrashError)
 from repro.obs.metrics import MetricsRegistry
+from repro.service.fingerprint import ProfileRequest
 from repro.service.queue import Job, JobFailedError
 from repro.service.shard import ShardConfig
 
@@ -28,12 +32,13 @@ class Request:
 
 
 def make_dispatcher(runner, processes=2, queue_size=16, backoff=0.001,
-                    poll=0.05, **kwargs):
+                    poll=0.05, cache=None, **kwargs):
     return Dispatcher(
-        runner, cache=ResultCache(), metrics=MetricsRegistry(),
+        runner, cache=ResultCache() if cache is None else cache,
+        metrics=MetricsRegistry(),
         processes=processes, shard_queue_size=queue_size,
         backoff_seconds=backoff, supervisor_poll_seconds=poll,
-        shard_config=ShardConfig(negative_ttl=300.0), **kwargs)
+        shard_config=ShardConfig(), **kwargs)
 
 
 class FakeReport:
@@ -136,17 +141,66 @@ def test_dispatch_round_trip_across_processes():
         fleet.stop()
 
 
-def test_same_key_sticks_to_one_shard_and_hits_its_cache():
-    fleet = make_dispatcher(echo_runner, processes=2)
+def test_same_key_sticks_to_one_shard_and_recomputes_after_eviction():
+    cache = ResultCache(max_entries=1)
+    fleet = make_dispatcher(echo_runner, processes=2, cache=cache)
     fleet.start()
     try:
         first = fleet.submit(Job("j1", "sticky", Request("a")))
         first_pid = first.result(timeout=10.0).pid
-        # drop the parent-side copy: the shard-private cache must answer
-        fleet._cache.clear()
-        second = fleet.submit(Job("j2", "sticky", Request("a")))
-        assert second.result(timeout=10.0).pid == first_pid
-        assert second.cache_hit
+        fleet.submit(Job("j2", "other", Request("b"))).result(timeout=10.0)
+        assert "sticky" not in cache and cache.stats().evictions == 1
+        # the parent's cache is the only result cache: the evicted key
+        # runs again, on the shard that owns it
+        owner = fleet.shards[fleet.ring.shard_for("sticky")]
+        done = owner.completed
+        second = fleet.submit(Job("j3", "sticky", Request("a")))
+        assert second.result(timeout=10.0).pid == first_pid == owner.pid
+        assert not second.cache_hit
+        assert owner.completed == done + 1
+    finally:
+        fleet.stop()
+
+
+def graph_echo_runner(request):
+    """Tags the reply with the request's configuration and the pid."""
+    return FakeReport(f"{request.backend}/{request.precision}", os.getpid())
+
+
+def test_configurations_of_one_graph_share_a_shard():
+    graph = build_model("mobilenetv2-05")
+    requests = [ProfileRequest(graph=graph, backend=backend,
+                               platform="a100", precision=precision)
+                for backend in ("trt-sim", "ort-sim", "ov-sim")
+                for precision in ("fp16", "fp32", "int8")]
+    fleet = make_dispatcher(graph_echo_runner, processes=2)
+    # by request key these siblings would spread over both shards
+    assert len({fleet.ring.shard_for(r.fingerprint())
+                for r in requests}) == 2
+    fleet.start()
+    try:
+        owner = fleet.shards[fleet.ring.shard_for(graph_fingerprint(graph))]
+        jobs = [fleet.submit(Job(f"j{i}", r.fingerprint(), r))
+                for i, r in enumerate(requests)]
+        results = [job.result(timeout=10.0) for job in jobs]
+        assert {r.pid for r in results} == {owner.pid}
+        assert sorted(r.name for r in results) == sorted(
+            f"{r.backend}/{r.precision}" for r in requests)
+    finally:
+        fleet.stop()
+
+
+def test_graphless_request_routes_by_job_key():
+    fleet = make_dispatcher(echo_runner, processes=2)
+    keys = [f"key-{i}" for i in range(8)]
+    assert len({fleet.ring.shard_for(key) for key in keys}) == 2
+    fleet.start()
+    try:
+        for key in keys:
+            job = Job(f"j-{key}", key, Request(key))
+            assert fleet.shard_for(job) == fleet.ring.shard_for(key)
+            pid = fleet.submit(job).result(timeout=10.0).pid
+            assert pid == fleet.shards[fleet.ring.shard_for(key)].pid
     finally:
         fleet.stop()
 

@@ -4,20 +4,20 @@ Levels 0-2 manage intermediates dynamically: every run allocates each
 output fresh and a liveness pass releases it after its last consumer.
 That bounds peak memory but leaves allocator traffic on the hot path.
 The O3 tier instead plans memory *once per plan*, TVM-style: every
-static intermediate receives a fixed byte offset into one flat arena,
-and steady-state runs reuse the same storage with zero per-run
-allocation or release.
+static intermediate a plan step writes receives a fixed byte offset
+into one flat arena, and steady-state runs reuse the same storage with
+zero per-run allocation or release.
 
-The planner consumes liveness as *level-granular* intervals — a tensor
-is live from the schedule level that produces it through the last level
-that consumes it, inclusive.  Level granularity (rather than step
-granularity) is what makes the assignment safe under the O3 dataflow
-schedule: the plan runs the chains of one level in any order, and an
-interval that covers whole levels can never be recycled while any step
-of a sibling chain might still read it.
+The planner consumes liveness as *step-granular* intervals — a tensor
+is live from the plan step that produces it through the last step that
+reads it (or any view of it), inclusive.  The plan runs its steps in
+one fixed order, so an extent whose last reader ran at an earlier step
+is free for the next tenant; a tensor dying at step ``i`` is never
+handed to an output born at step ``i``, so no step's output overlaps
+its own inputs.
 
 Assignment is the classic first-fit / greedy interval scheme: walk the
-levels in order, return dead extents to a coalescing free list, and
+steps in order, return dead extents to a coalescing free list, and
 place each newly-born tensor (largest first) into the first hole that
 fits, growing the arena only when none does.  The resulting
 ``peak_bytes`` is the plan's static memory high-water mark, exported
@@ -36,7 +36,8 @@ ALIGNMENT = 64
 
 
 class TensorRequest:
-    """One arena tenant: a named byte extent live over [birth, death]."""
+    """One arena tenant: a named byte extent live over the plan steps
+    [birth, death]."""
 
     __slots__ = ("name", "nbytes", "birth", "death")
 
@@ -62,7 +63,7 @@ class ArenaPlan:
         self.offsets = offsets
         #: tensor name -> unaligned payload size in bytes
         self.sizes = sizes
-        #: total arena size — the static peak across all levels
+        #: total arena size — the static peak across all steps
         self.peak_bytes = peak_bytes
         self.alignment = alignment
 
@@ -121,7 +122,7 @@ def plan_arena(requests: Sequence[TensorRequest],
     """Assign a static arena offset to every request.
 
     Two requests receive overlapping extents only if their [birth,
-    death] level intervals are disjoint — the invariant the O3 runner
+    death] step intervals are disjoint — the invariant the O3 runner
     relies on for slot reuse, checked by ``tests/ir/test_memplan.py``
     by brute force.
     """
@@ -139,9 +140,9 @@ def plan_arena(requests: Sequence[TensorRequest],
     top = 0  # current arena extent (may shrink when the tail frees)
     peak = 0
     for level in sorted(set(by_birth) | set(by_death)):
-        # everything whose last consumer ran in an *earlier* level is
-        # reclaimable; death at this very level is still too hot — a
-        # sibling chain in that level may not have read it yet
+        # everything whose last consumer ran at an *earlier* step is
+        # reclaimable; death at this very step is still too hot — the
+        # step reads it while writing its newborn outputs
         for dl in [d for d in by_death if d < level]:
             for req in by_death.pop(dl):
                 size = _align(req.nbytes, alignment)

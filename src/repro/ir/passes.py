@@ -25,9 +25,8 @@ perform are value-preserving:
 execution plan compiler uses (level 0 = plan-time shape-constant
 folding only, level 1 = bit-exact fusion, level 2 = adds BatchNorm
 weight folding, level 3 = the same graph rewrites as level 2 — its
-extra work is plan-compile machinery: dataflow scheduling, static
-arena memory planning and weight pre-packing, see
-:mod:`repro.ir.schedule` / :mod:`repro.ir.memplan`); the fusion
+extra work is the plan's static arena and subnormal flush, see
+:mod:`repro.ir.plan` / :mod:`repro.ir.memplan`); the fusion
 patterns come from :mod:`repro.ir.fusion`, the same definitions the
 backend :class:`FusionPlanner` plans with.
 
@@ -558,9 +557,8 @@ OPTIMIZE_LEVELS = {
         "fuse_conv_activations", "fuse_elementwise_chains",
         "eliminate_common_subexpressions", "eliminate_dead_nodes"),
     2: _O2_PASSES,
-    # O3 runs the same graph rewrites as O2; the extra optimizations
-    # (dataflow scheduling, arena memory planning, weight pre-packing)
-    # live in plan compilation, not graph rewriting
+    # O3 runs the same graph rewrites as O2; its arena and subnormal
+    # flush live in plan compilation, not graph rewriting
     3: _O2_PASSES,
 }
 

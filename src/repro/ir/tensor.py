@@ -202,22 +202,29 @@ class Initializer:
         provide explicitly).  Without ``rng`` the seed comes from the
         SHA-256 of the tensor name, so values do not depend on the
         process or its hash seed.
+
+        Only the name-seeded draw is cached in ``data``.  A draw from a
+        caller's ``rng`` is returned without being stored: it belongs to
+        that caller (an executor or plan with its own seed), and caching
+        it would hand one seed's weights to every later runtime built
+        over the same graph.
         """
-        if self.data is None:
-            if rng is None:
-                digest = hashlib.sha256(self.info.name.encode()).digest()
-                rng = np.random.default_rng(
-                    int.from_bytes(digest[:4], "little"))
-            np_dt = self.info.dtype.to_numpy()
-            if self.info.dtype.is_float:
-                fan_in = max(1, self.info.numel // max(1, self.info.shape[0] if self.info.shape else 1))
-                scale = 1.0 / math.sqrt(fan_in)
-                self.data = rng.normal(0.0, scale, self.info.shape).astype(np_dt)
-            elif self.info.dtype is DataType.BOOL:
-                self.data = np.zeros(self.info.shape, dtype=np_dt)
-            else:
-                self.data = np.zeros(self.info.shape, dtype=np_dt)
-        return self.data
+        if self.data is not None:
+            return self.data
+        cache = rng is None
+        if cache:
+            digest = hashlib.sha256(self.info.name.encode()).digest()
+            rng = np.random.default_rng(int.from_bytes(digest[:4], "little"))
+        np_dt = self.info.dtype.to_numpy()
+        if self.info.dtype.is_float:
+            fan_in = max(1, self.info.numel // max(1, self.info.shape[0] if self.info.shape else 1))
+            scale = 1.0 / math.sqrt(fan_in)
+            data = rng.normal(0.0, scale, self.info.shape).astype(np_dt)
+        else:
+            data = np.zeros(self.info.shape, dtype=np_dt)
+        if cache:
+            self.data = data
+        return data
 
 
 def tensor_bytes(infos: Iterable[TensorInfo]) -> int:

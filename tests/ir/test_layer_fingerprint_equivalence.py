@@ -238,7 +238,7 @@ def _with_payloads(key, seed):
     graph = build_model(key)
     rng = np.random.default_rng(seed)
     for init in list(graph.initializers.values())[:8]:
-        init.materialize(rng)
+        init.data = init.materialize(rng)
     graph.invalidate()
     return graph
 

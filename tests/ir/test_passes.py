@@ -20,6 +20,13 @@ def conv_bn_graph():
 
 
 def run(graph, seed=7):
+    """Execute ``graph`` on its seeded weights, pinning them on the graph
+    first so graphs rewritten from it afterwards share them (a runtime's
+    own draw never lands on the graph)."""
+    rng = np.random.default_rng(seed)
+    for init in graph.initializers.values():
+        if init.data is None:
+            init.data = init.materialize(rng)
     feeds = {t.name: np.random.default_rng(0).normal(size=t.shape)
              .astype(np.float32) for t in graph.inputs}
     return next(iter(Executor(graph, seed=seed).run(feeds).values()))

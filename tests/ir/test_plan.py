@@ -56,11 +56,29 @@ def test_plan_matches_seeded_executor():
         for k in want:
             assert want[k].tobytes() == got[k].tobytes()
     # different weight seeds must differ, proving the seed is honored
-    # (fresh graphs each: materialize() caches weights on the graph, so
-    # a second plan over the same graph reuses the first seed's data)
     a = ExecutionPlan(mlp_graph()[0], seed=0).run(feeds)
     b = ExecutionPlan(mlp_graph()[0], seed=1).run(feeds)
     assert a["fc2_out"].tobytes() != b["fc2_out"].tobytes()
+
+
+@pytest.mark.parametrize("level", [None, 0, 1, 2, 3],
+                         ids=["executor", "O0", "O1", "O2", "O3"])
+def test_each_runtime_owns_its_seeded_weights(level):
+    # one graph, seed 0 then seed 1: the second runtime must draw its
+    # own weights rather than reuse what the first drew, and neither
+    # may write its draw into the caller's graph
+    graph, _, _ = mlp_graph()
+    feeds = feeds_for(graph)
+
+    def run(seed):
+        runtime = Executor(graph, seed=seed) if level is None \
+            else compile_plan(graph, seed=seed, optimize=level)
+        return runtime.run(feeds)["fc2_out"]
+
+    first, second, again = run(0), run(1), run(0)
+    assert first.tobytes() != second.tobytes()
+    assert first.tobytes() == again.tobytes()
+    assert all(init.data is None for init in graph.initializers.values())
 
 
 def test_repeat_runs_are_bit_identical():

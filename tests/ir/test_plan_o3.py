@@ -1,10 +1,10 @@
-"""O3 execution: dataflow scheduling, static arena, weight pre-packing.
+"""O3 execution: O2's steps writing into a static arena, plus the flush.
 
-O3 applies exactly O2's graph rewrites; everything it adds is execution
-strategy, so outputs must match O2 bit-for-bit on the same compiled
-graph and match O0 within the O2 tolerance budget.  The arena contract
-— zero per-run intermediate allocation in steady state — is pinned
-against the planner's offset map and the per-thread view table.
+O3 applies exactly O2's graph rewrites and runs the same steps, so
+outputs must match O2 bit-for-bit on the same compiled graph and match
+O0 within the O2 tolerance budget.  The arena contract — zero per-run
+intermediate allocation in steady state — is pinned against the
+planner's offset map and the per-thread view table.
 """
 import threading
 
@@ -14,14 +14,14 @@ import pytest
 from repro.ir.builder import GraphBuilder
 from repro.ir.plan import _TINY, compile_plan
 from repro.models.registry import build_model
-from repro.obs import default_registry
+from repro.obs import Tracer, default_registry, use_tracer
 
 from .test_plan_optimize import (bit_equal, feeds_for,
                                  install_benign_bn_stats)
 
 
 def branchy_graph():
-    """Two independent conv towers from one stem — max_width >= 2."""
+    """Two independent conv towers from one stem."""
     b = GraphBuilder("g")
     x = b.input("x", (1, 8, 16, 16))
     stem = b.conv(x, 8, 3, padding=1, name="stem")
@@ -83,7 +83,7 @@ class TestArena:
         plan = compile_plan(mixed_graph(), optimize=3)
         offsets = plan._arena.offsets
         outputs = set(plan.graph.output_names)
-        for st in plan._o3_steps:
+        for st in plan._steps:
             if st.mode == "alias":
                 continue
             for out in st.outputs:
@@ -97,11 +97,11 @@ class TestArena:
         feeds = feeds_for(g)
         plan = compile_plan(g, optimize=3)
         plan.run(feeds)
-        views_a = plan._o3_views()
-        arena_a = plan._tls.o3_arena
+        views_a = plan._views()
+        arena_a = plan._tls.arena
         plan.run(feeds)
-        views_b = plan._o3_views()
-        assert plan._tls.o3_arena is arena_a
+        views_b = plan._views()
+        assert plan._tls.arena is arena_a
         assert all(views_b[k] is views_a[k] for k in views_a)
 
     def test_offsets_fit_inside_peak(self):
@@ -121,13 +121,29 @@ class TestArena:
         plan = compile_plan(mixed_graph(), optimize=3)
         stats = plan.o3_stats
         assert stats["direct"] + stats["alias"] + stats["fallback"] == \
-            len(plan._o3_steps)
-        assert stats["levels"] == plan.schedule.num_levels
+            len(plan._steps)
         assert stats["peak_arena_bytes"] == plan.arena_peak_bytes
+
+    def test_a_view_keeps_its_arena_source_alive(self):
+        # `flat` views `a`'s slot and is read only after three newer
+        # arena tensors were written; `a`'s slot must not be reused
+        # before that last read
+        b = GraphBuilder("g")
+        x = b.input("x", (2, 4, 8, 8))
+        a = b.relu(x)
+        flat = b.reshape(a, (2, 256))
+        y = x
+        for _ in range(3):
+            y = b.relu(b.add(y, x))
+        g = b.finish(b.add(flat, b.reshape(y, (2, 256))))
+        feeds = feeds_for(g)
+        o2 = compile_plan(g, optimize=2).run(feeds)
+        o3 = compile_plan(g, optimize=3).run(feeds)
+        for name, want in o2.items():
+            assert bit_equal(want, o3[name]), name
 
     def test_lower_levels_have_no_arena(self):
         plan = compile_plan(mixed_graph(), optimize=2)
-        assert plan.schedule is None
         assert plan.arena_peak_bytes == 0
 
 
@@ -137,8 +153,8 @@ class TestScheduledExecution:
         feeds = feeds_for(g)
         plan = compile_plan(g, optimize=3)
         plan.run(feeds)
-        assert plan._o3_unsafe_fetch, "expected arena-resident names"
-        name = sorted(plan._o3_unsafe_fetch)[0]
+        assert plan._unsafe_fetch, "expected arena-resident names"
+        name = sorted(plan._unsafe_fetch)[0]
         got = plan.run(feeds, fetch=[name])
         ref = compile_plan(g, optimize=2).run(feeds, fetch=[name])
         assert bit_equal(ref[name], got[name])
@@ -159,7 +175,7 @@ class TestSubnormalFlush:
         assert np.count_nonzero(ref), "reference should keep subnormals"
         plan = compile_plan(g, optimize=3)
         out = next(iter(plan.run(feeds).values()))
-        assert any(st.ftz for st in plan._o3_steps)
+        assert any(st.ftz for st in plan._steps)
         assert np.count_nonzero(out) == 0
         # flush perturbation bounded by the largest subnormal — far
         # inside the O2/O3 tolerance budget
@@ -173,6 +189,20 @@ class TestSubnormalFlush:
         plan.run(feeds_for(g))
         out = next(iter(plan.run(feeds).values()))
         assert np.isnan(out).all()
+
+    def test_traced_run_uses_the_o3_kernels(self):
+        # a traced run executes the same steps as an untraced one —
+        # arena writers and flush included — and emits per-op spans
+        g = self.graph()
+        feeds = feeds_for(g)
+        want = next(iter(compile_plan(g, optimize=3).run(feeds).values()))
+        plan = compile_plan(g, optimize=3)
+        with use_tracer(Tracer(plan_ops=True)) as tracer:
+            got = next(iter(plan.run(feeds).values()))
+        assert bit_equal(want, got)
+        assert np.count_nonzero(got) == 0
+        ops = [s.name for s in tracer.spans() if s.name.startswith("op.")]
+        assert ops == [f"op.{st.node.op_type}" for st in plan._steps]
 
 
 class TestConcurrentSharing:

@@ -1,9 +1,10 @@
-"""Oracle smokes: short perfbench runs of the profile path and the fleet.
+"""Oracle smokes: short perfbench runs of the profile path, the fleet
+and the compiled plans.
 
 ``perfbench/run.py`` exits 0 whatever its operations did, so each test
 reads the result line it prints last and requires every operation to
-have matched its oracle ``report_digest`` (``correct``) with none
-failed.  Timing is not checked.
+have matched its oracle (``correct``) with none failed.  Timing is not
+checked.
 """
 import json
 import os
@@ -34,3 +35,9 @@ def test_service_fleet_matches_oracle():
     """Every reply routed through the 2-process fleet (graph-fingerprint
     placement, assembled precision siblings) matches the oracle."""
     run_perfbench("service-fleet")
+
+
+def test_plan_exec_matches_oracle():
+    """Every O2/O3 plan run stays within O2's tolerance of the
+    reference executor."""
+    run_perfbench("plan-exec")

@@ -3,8 +3,8 @@
 PR 2–4 gave the repo redundant ways to execute a graph: the legacy
 reference :class:`~repro.ir.executor.Executor` and compiled
 :class:`~repro.ir.plan.ExecutionPlan` objects at optimization levels
-O0/O1/O2, later joined by O3 (dataflow scheduling + static arena +
-weight pre-packing on top of O2's rewrites).  O0 and O1 rewrites are
+O0/O1/O2, later joined by O3 (O2's rewrites and steps plus a
+calibrated subnormal flush).  O0 and O1 rewrites are
 documented bit-exact; O2 relaxes numerics (BatchNorm folding), so it
 only has to agree within tolerance, and O3 inherits exactly that
 budget — its extra machinery is execution strategy, not arithmetic.
@@ -510,9 +510,9 @@ def differential_check(graph: Graph, seed: int = 0, rtol: float = O2_RTOL,
     - runtime output shape/dtype must match static shape inference;
     - O0 and O1 plans must be bit-identical to the legacy executor;
     - O2 and O3 plans must agree within ``rtol``/``atol``.  O3 shares
-      O2's tolerance budget: its rewrites are O2's, and the scheduler /
-      arena / pre-packing machinery preserves every kernel's IEEE
-      operation sequence.
+      O2's tolerance budget: its rewrites and steps are O2's, and the
+      subnormal flush perturbs values by less than the largest float32
+      subnormal.
     """
     problems: List[str] = []
     g = graph.copy()

@@ -86,8 +86,7 @@ def build_parser() -> argparse.ArgumentParser:
                           "0 = shape-constant folding only, "
                           "1 = bit-exact fusion + fast kernels (default), "
                           "2 = + BatchNorm folding (numerics-relaxed), "
-                          "3 = + dataflow scheduling, static memory "
-                          "arena and weight pre-packing")
+                          "3 = + calibrated subnormal flush")
     run.add_argument("--execute", action="store_true",
                      help="also compile and run the model on the numpy "
                           "runtime with random feeds, reporting plan "
@@ -245,7 +244,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 feeds[t.name] = rng.integers(0, 100, size=t.shape).astype(dt)
             else:
                 feeds[t.name] = rng.standard_normal(t.shape).astype(dt)
-        plan.run(feeds)  # warm the scratch arenas / weight caches
+        plan.run(feeds)  # warm the scratch buffers / weight caches
         t0 = _time.perf_counter()
         plan.run(feeds)
         elapsed = _time.perf_counter() - t0

@@ -25,8 +25,8 @@ perform are value-preserving:
 execution plan compiler uses (level 0 = plan-time shape-constant
 folding only, level 1 = bit-exact fusion, level 2 = adds BatchNorm
 weight folding, level 3 = the same graph rewrites as level 2 — its
-extra work is the plan's static arena and subnormal flush, see
-:mod:`repro.ir.plan` / :mod:`repro.ir.memplan`); the fusion
+extra work is the plan's calibrated subnormal flush, see
+:mod:`repro.ir.plan`); the fusion
 patterns come from :mod:`repro.ir.fusion`, the same definitions the
 backend :class:`FusionPlanner` plans with.
 
@@ -70,60 +70,65 @@ def fold_batchnorm(graph: Graph, in_place: bool = False) -> Graph:
     convolution uses ``W' = W · γ/√(σ²+ε)`` per output channel and
     ``b' = (b − μ) · γ/√(σ²+ε) + β``.  Only applied when the conv's
     output feeds exactly the BN.  Weights are materialized on demand.
+
+    One scan in topological order: a fold changes only which node
+    produces the BN's output (consumer counts never change), so a
+    ``Conv -> BN -> BN`` chain folds completely as the scan reaches
+    the second BN.
     """
     g = graph if in_place else graph.copy()
-    changed = True
-    while changed:
-        changed = False
-        consumers = g.consumer_map()
-        for bn in list(g.nodes):
-            if bn.op_type != "BatchNormalization":
-                continue
-            producer = g.producer(bn.inputs[0])
-            if producer is None or producer.op_type != "Conv":
-                continue
-            if len(consumers.get(producer.outputs[0], [])) != 1:
-                continue
-            if producer.outputs[0] in g.output_names:
-                continue
-            if not all(g.is_initializer(t) for t in bn.inputs[1:5]):
-                continue
-            w_init = g.initializers[producer.inputs[1]]
-            gamma = g.initializers[bn.inputs[1]].materialize().astype(np.float64)
-            beta = g.initializers[bn.inputs[2]].materialize().astype(np.float64)
-            mean = g.initializers[bn.inputs[3]].materialize().astype(np.float64)
-            var = g.initializers[bn.inputs[4]].materialize().astype(np.float64)
-            eps = bn.float_attr("epsilon", 1e-5)
-            # the reference executor normalizes by sqrt(var^2 + eps) so
-            # lazily-materialized variances (which can be negative) stay
-            # safe; fold with the same convention
-            inv_std = gamma / np.sqrt(var ** 2 + eps)
-            w = w_init.materialize().astype(np.float64)
-            new_w = (w * inv_std.reshape(-1, 1, 1, 1)).astype(np.float32)
-            if len(producer.inputs) > 2 and producer.inputs[2]:
-                b = g.initializers[producer.inputs[2]].materialize().astype(np.float64)
-            else:
-                b = np.zeros(w.shape[0], dtype=np.float64)
-            new_b = ((b - mean) * inv_std + beta).astype(np.float32)
-            # marker so plans/reports can count BN-folded layers the way
-            # the backend planner counts its `folded` conv groups
-            producer.attrs["folded_bn"] = bn.name or bn.op_type
-            # install folded parameters under fresh names
-            w_name = f"{producer.inputs[1]}::folded"
-            b_name = f"{w_name}.bias"
-            g.add_initializer(Initializer(
-                TensorInfo(w_name, new_w.shape, DataType.FLOAT32), new_w))
-            g.add_initializer(Initializer(
-                TensorInfo(b_name, new_b.shape, DataType.FLOAT32), new_b))
-            producer.inputs = [producer.inputs[0], w_name, b_name]
-            # splice the BN out; the conv adopts the *BN's* output name
-            # (its own old output had no other consumer, and the BN's
-            # name may be a declared graph output, which must survive)
-            g.remove_nodes([bn])
-            producer.outputs = [bn.outputs[0]]
-            g.invalidate()
-            changed = True
-            break
+    consumers = g.consumer_map()
+    producers = dict(g.producer_map())
+    outputs = set(g.output_names)
+    folded: List[Node] = []
+    for bn in list(g.toposort()):
+        if bn.op_type != "BatchNormalization":
+            continue
+        producer = producers.get(bn.inputs[0])
+        if producer is None or producer.op_type != "Conv":
+            continue
+        if len(consumers.get(producer.outputs[0], [])) != 1:
+            continue
+        if producer.outputs[0] in outputs:
+            continue
+        if not all(g.is_initializer(t) for t in bn.inputs[1:5]):
+            continue
+        w_init = g.initializers[producer.inputs[1]]
+        gamma = g.initializers[bn.inputs[1]].materialize().astype(np.float64)
+        beta = g.initializers[bn.inputs[2]].materialize().astype(np.float64)
+        mean = g.initializers[bn.inputs[3]].materialize().astype(np.float64)
+        var = g.initializers[bn.inputs[4]].materialize().astype(np.float64)
+        eps = bn.float_attr("epsilon", 1e-5)
+        # the reference executor normalizes by sqrt(var^2 + eps) so
+        # lazily-materialized variances (which can be negative) stay
+        # safe; fold with the same convention
+        inv_std = gamma / np.sqrt(var ** 2 + eps)
+        w = w_init.materialize().astype(np.float64)
+        new_w = (w * inv_std.reshape(-1, 1, 1, 1)).astype(np.float32)
+        if len(producer.inputs) > 2 and producer.inputs[2]:
+            b = g.initializers[producer.inputs[2]].materialize().astype(np.float64)
+        else:
+            b = np.zeros(w.shape[0], dtype=np.float64)
+        new_b = ((b - mean) * inv_std + beta).astype(np.float32)
+        # marker so plans/reports can count BN-folded layers the way
+        # the backend planner counts its `folded` conv groups
+        producer.attrs["folded_bn"] = bn.name or bn.op_type
+        # install folded parameters under fresh names
+        w_name = f"{producer.inputs[1]}::folded"
+        b_name = f"{w_name}.bias"
+        g.add_initializer(Initializer(
+            TensorInfo(w_name, new_w.shape, DataType.FLOAT32), new_w))
+        g.add_initializer(Initializer(
+            TensorInfo(b_name, new_b.shape, DataType.FLOAT32), new_b))
+        producer.inputs = [producer.inputs[0], w_name, b_name]
+        # splice the BN out; the conv adopts the *BN's* output name
+        # (its own old output had no other consumer, and the BN's
+        # name may be a declared graph output, which must survive)
+        folded.append(bn)
+        producer.outputs = [bn.outputs[0]]
+        producers[bn.outputs[0]] = producer
+    if folded:
+        g.remove_nodes(folded)
     infer_shapes(g)
     return g
 
@@ -557,8 +562,8 @@ OPTIMIZE_LEVELS = {
         "fuse_conv_activations", "fuse_elementwise_chains",
         "eliminate_common_subexpressions", "eliminate_dead_nodes"),
     2: _O2_PASSES,
-    # O3 runs the same graph rewrites as O2; its arena and subnormal
-    # flush live in plan compilation, not graph rewriting
+    # O3 runs the same graph rewrites as O2; its subnormal flush lives
+    # in plan execution, not graph rewriting
     3: _O2_PASSES,
 }
 

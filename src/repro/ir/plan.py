@@ -24,14 +24,13 @@ from the backend, so nothing on the profile path compiles a plan.
   once** — each node becomes a step with its kernel bound;
 * **one writer per specialised op** — Conv, Gemm, Max/AveragePool,
   fused elementwise chains and the float32 copy/elementwise ops
-  compute into an output array that the step is handed: a fresh
-  ``np.empty`` below O3, the step's arena slot at O3.  Every other op
-  runs the executor's kernel and keeps that kernel's array;
+  compute into a fresh ``np.empty`` output at every level.  Every other
+  op runs the executor's kernel and keeps that kernel's array;
 * **liveness-based buffer release** — every intermediate is dropped
   right after its last consumer, bounding peak memory to the live set
   instead of the whole tensor table;
-* **scratch arenas** — convolution im2col/padding buffers and pooling
-  window stacks are allocated once per plan and reused across runs
+* **scratch buffers** — convolution im2col/padding buffers and pooling
+  window stacks are allocated once per thread and reused across runs
   (padding borders are written once; only the interior changes).
 
 Plans compile against a graph rewritten by the leveled optimization
@@ -48,31 +47,29 @@ pipeline (:func:`repro.ir.passes.optimize_graph`):
   numerics-relaxed depthwise MAC-loop kernel; outputs then match the
   legacy executor within float rounding (``rtol=1e-5``), not
   bit-for-bit;
-* ``optimize=3`` is O2 plus a **static arena**
-  (:mod:`repro.ir.memplan`): every static intermediate a writer
-  produces gets a fixed offset, planned from the same step-order
-  last-use map that drives buffer release, so steady-state runs
-  allocate nothing for them.  O3 also adds an adaptive flush-to-zero
-  guard that zeroes denormal activations the way accelerator runtimes
-  do by default — x86 BLAS kernels slow down by more than an order of
-  magnitude on subnormal inputs, so random-weight deep stacks would
-  otherwise profile the denormal unit, not the model.  O3 shares O2's
-  tolerance contract (subnormal flushes perturb values by < 1.2e-38,
-  far below the O2 ``atol``).
+* ``optimize=3`` is O2's steps plus an adaptive **subnormal flush**:
+  the first run finds the writers whose float32 outputs carry many
+  subnormals, and every run zeroes those denormal activations the way
+  accelerator runtimes do by default — x86 BLAS kernels slow down by
+  more than an order of magnitude on subnormal inputs, so random-weight
+  deep stacks would otherwise profile the denormal unit, not the model.
+  O3 shares O2's tolerance contract (subnormal flushes perturb values
+  by < 1.2e-38, far below the O2 ``atol``).
 
 Every level runs the same steps through the same loop, so traced runs
 (``plan_ops=True``) emit one ``op.*`` span per step from the kernels
-the level really runs, arena and flush included.
+the level really runs, flush included.
 
 A level-0/1 plan's results are bit-identical to the legacy
 ``execute()`` path: weights are the same seeded stream, and the
 specialised steps perform exactly the legacy arithmetic on reused
-buffers.  Scratch buffers and the O3 arena are *per-thread* state
+scratch buffers.  Scratch buffers are *per-thread* state
 (``threading.local``), so one plan may be shared and run concurrently
 from any number of threads at every optimization level; each thread
 pays its own scratch warm-up and results stay bit-identical
-run-to-run.  The only serialized section is the first O3 run (the
-flush-to-zero calibration pass).
+run-to-run.  Outputs are never scratch: every array a run returns
+belongs to the caller.  The only serialized section is the first O3
+run (the flush-to-zero calibration pass).
 """
 from __future__ import annotations
 
@@ -82,30 +79,26 @@ from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from ..obs.metrics import default_registry
 from ..obs.trace import get_tracer
 from .executor import (ExecutionError, _EXEC, _avgpool_divisor,
                        _fused_stages, _im2col, _pool_geometry,
                        _resolve_pads_for_shape)
 from .fusion import decode_op
 from .graph import Graph
-from .memplan import TensorRequest, plan_arena
 from .node import Node
 from .passes import optimize_graph
 from .shape_inference import infer_shapes
 
 __all__ = ["ExecutionPlan", "compile_plan"]
 
-#: a step takes the tensor environment and its arena view table (empty
-#: below O3) and returns its output arrays
-_StepFn = Callable[[Dict[str, np.ndarray], Dict[str, np.ndarray]],
-                   List[np.ndarray]]
+#: a step takes the tensor environment and returns its output arrays
+_StepFn = Callable[[Dict[str, np.ndarray]], List[np.ndarray]]
 
 #: smallest normal float32; anything below (but nonzero) is subnormal
 _TINY = np.float32(1.1754944e-38)
 
 #: ops whose output is a pure view of their first input under static
-#: shapes; reported as ``alias`` steps in :attr:`ExecutionPlan.o3_stats`
+#: shapes; compiled to one ``reshape`` (:meth:`ExecutionPlan._compile_view`)
 _ALIAS_OPS = frozenset(
     {"Reshape", "Flatten", "Identity", "Dropout", "Squeeze", "Unsqueeze"})
 
@@ -203,39 +196,23 @@ def _out_stages(tokens: Sequence[str]):
     return stages, needs_tmp
 
 
-def _dest(views: Dict[str, np.ndarray], name: str, shape: Tuple[int, ...],
-          dtype) -> np.ndarray:
-    """The array a writer computes ``name`` into: its arena view when it
-    has one of ``dtype``, else a fresh one."""
-    buf = views.get(name)
-    if buf is None or buf.dtype != dtype or buf.shape != shape:
-        return np.empty(shape, dtype)
-    return buf
-
-
 class _Step:
     """One compiled node: bound kernel, wiring, release list and flush.
 
-    ``run(env, views)`` returns the step's output arrays.  ``mode``
-    records how the step was compiled: ``direct`` = a writer that
-    computes into the array :func:`_dest` hands it, ``alias`` = a view
-    op on the executor's kernel, ``fallback`` = any other executor
-    kernel.  ``fouts`` lists the float32 outputs a subnormal flush
-    would apply to (O3 writers only — their outputs are always their
-    own storage); ``ftz`` is set by the calibration run for steps whose
+    ``run(env)`` returns the step's output arrays.  ``fouts`` lists the
+    float32 outputs a subnormal flush would apply to (O3 writers only —
+    their outputs are always fresh arrays of their own, never views of
+    an input); ``ftz`` is set by the calibration run for steps whose
     outputs carry enough subnormals to poison downstream BLAS kernels.
     """
 
-    __slots__ = ("node", "run", "outputs", "release", "mode", "fouts",
-                 "ftz")
+    __slots__ = ("node", "run", "outputs", "release", "fouts", "ftz")
 
-    def __init__(self, node: Node, run: _StepFn, mode: str,
-                 fouts: List[str]) -> None:
+    def __init__(self, node: Node, run: _StepFn, fouts: List[str]) -> None:
         self.node = node
         self.run = run
         self.outputs = list(node.outputs)
         self.release: List[str] = []
-        self.mode = mode
         self.fouts = fouts
         self.ftz = False
 
@@ -282,22 +259,16 @@ class ExecutionPlan:
         self._base_env.update(self._folded_consts)
         self._feeds = [(t.name, tuple(t.shape), np.dtype(t.dtype.to_numpy()))
                        for t in graph.inputs]
-        #: scratch buffers and the O3 arena are per-thread: one plan may
-        #: run concurrently from many threads with no shared mutable
-        #: run state
+        #: scratch buffers are per-thread: one plan may run concurrently
+        #: from many threads with no shared mutable run state
         self._tls = threading.local()
         self._lock = threading.Lock()
         self._run_count = 0
         self._protected = set(work.output_names)
         #: below O3 there is nothing to calibrate
         self._calibrated = self.optimize_level < 3
-        self._arena = None
-        self._unsafe_fetch: Set[str] = set()
-        self._copy_out: Set[str] = set()
         self._steps = self._compile_steps()
-        last_use = self._plan_liveness()
-        if self.optimize_level >= 3:
-            self._plan_arena(last_use)
+        self._plan_liveness()
 
     # ------------------------------------------------------------------
     # compilation
@@ -321,24 +292,17 @@ class ExecutionPlan:
             compile_writer = writers.get(node.op_type)
             run = compile_writer(node) if compile_writer else None
             fouts: List[str] = []
-            if run is not None:
-                mode = "direct"
-                if self.optimize_level >= 3:
-                    fouts = [o for o in node.outputs
-                             if self._static_dtype(o) == np.float32]
-            elif node.op_type in _ALIAS_OPS:
-                mode = "alias"
-                run = self._compile_view(node) or \
-                    self._compile_generic(node, fn)
-            else:
-                mode = "fallback"
-                run = self._compile_generic(node, fn)
-            steps.append(_Step(node, run, mode, fouts))
+            if run is not None and self.optimize_level >= 3:
+                fouts = [o for o in node.outputs
+                         if self._static_dtype(o) == np.float32]
+            if run is None and node.op_type in _ALIAS_OPS:
+                run = self._compile_view(node)
+            steps.append(_Step(node, run or self._compile_generic(node, fn),
+                               fouts))
         return steps
 
-    def _plan_liveness(self) -> Dict[str, int]:
-        """Attach to each step the intermediates whose last use it is;
-        return the last-use step index of every consumed step output."""
+    def _plan_liveness(self) -> None:
+        """Attach to each step the intermediates whose last use it is."""
         produced: Set[str] = set()
         for step in self._steps:
             produced.update(step.outputs)
@@ -353,71 +317,12 @@ class ExecutionPlan:
                     continue
                 owner = last_use.get(t, idx)  # unconsumed: release at birth
                 self._steps[owner].release.append(t)
-        return last_use
-
-    def _plan_arena(self, last_use: Dict[str, int]) -> None:
-        """Give every static, non-output writer result an arena offset.
-
-        A tensor occupies its slot from the step that writes it through
-        the last step that reads it or any array that may view it.  A
-        step without a writer may return a view of any of its inputs
-        (``Reshape``, ``Squeeze``, ...), so its outputs extend the life
-        of every arena tensor they were computed from, and a graph
-        output that may view the arena pins it to the end of the run
-        and is copied out.
-        """
-        slots: Dict[str, Tuple[Tuple[int, ...], np.dtype]] = {}
-        made: Dict[str, int] = {}
-        #: tensor -> arena tensors whose storage it may share
-        roots: Dict[str, Set[str]] = {}
-        for idx, step in enumerate(self._steps):
-            if step.mode == "direct":
-                for o in step.outputs:
-                    shape, dt = self._static_shape(o), self._static_dtype(o)
-                    if o in self._protected or shape is None or dt is None:
-                        continue
-                    slots[o] = (shape, dt)
-                    made[o] = idx
-                    roots[o] = {o}
-                continue
-            src: Set[str] = set()
-            for t in step.node.present_inputs:
-                src |= roots.get(t, set())
-            if src:
-                for o in step.outputs:
-                    made[o] = idx
-                    roots[o] = src
-        last = len(self._steps) - 1
-        death: Dict[str, int] = {}
-        for name, rs in roots.items():
-            end = last if name in self._protected \
-                else last_use.get(name, made[name])
-            for r in rs:
-                death[r] = max(death.get(r, end), end)
-        requests = [TensorRequest(name, int(np.prod(shape)) * dt.itemsize,
-                                  made[name], death[name])
-                    for name, (shape, dt) in slots.items()]
-        self._arena = plan_arena(requests)
-        self._slots = slots
-        #: arena contents are clobbered by slot reuse before the run
-        #: ends — fetching them needs a run without the arena
-        self._unsafe_fetch = set(roots) - self._protected
-        self._copy_out = self._protected & set(roots)
-        counts = {mode: sum(1 for s in self._steps if s.mode == mode)
-                  for mode in ("direct", "alias", "fallback")}
-        self._o3_stats = dict(counts, peak_arena_bytes=self._arena.peak_bytes,
-                              arena_tensors=len(slots))
-        default_registry().gauge(
-            "plan.o3.arena_peak_bytes",
-            help_text="static arena size of the most recently compiled "
-                      "O3 execution plan (bytes)",
-        ).set(float(self._arena.peak_bytes))
 
     @staticmethod
     def _compile_generic(node: Node, fn) -> _StepFn:
         input_names = list(node.inputs)
 
-        def run(env, views):
+        def run(env):
             return fn(node, [env[t] if t else None for t in input_names])
         return run
 
@@ -432,7 +337,7 @@ class ExecutionPlan:
             return None
         x_name = node.inputs[0]
 
-        def run(env, views):
+        def run(env):
             return [env[x_name].reshape(oshape)]
         return run
 
@@ -524,8 +429,8 @@ class ExecutionPlan:
             return None
         x_name = node.inputs[0]
 
-        def run(env, views):
-            y = _dest(views, out_name, shape, np.float32)
+        def run(env):
+            y = np.empty(shape, np.float32)
             self._apply_stages(node, compiled, env[x_name], y)
             return [y]
         return run
@@ -553,7 +458,6 @@ class ExecutionPlan:
         out_w = (w_dim + pw0 + pw1 - (dw * (kw - 1) + 1)) // sw + 1
         hw = out_h * out_w
         oshape = (n, c_out, out_h, out_w)
-        out_name = node.outputs[0]
         x_name, w_name = node.inputs[0], node.inputs[1]
         b_name = node.inputs[2] if len(node.inputs) > 2 and node.inputs[2] \
             else None
@@ -648,7 +552,7 @@ class ExecutionPlan:
                     col2d = sb.reshape(n, c_in, hw)
             else:
                 # one im2col over all channels: the (n, C, kh, kw, oH,
-                # oW) arena regroups to per-group column blocks by pure
+                # oW) buffer regroups to per-group column blocks by pure
                 # reshape, so every group sees exactly the values the
                 # legacy per-group _im2col produced — without `group`
                 # pad/gather passes
@@ -674,11 +578,11 @@ class ExecutionPlan:
             np.copyto(y.reshape(n, group, cg_out, hw),
                       yg.transpose(1, 0, 2, 3))
 
-        def run(env, views):
+        def run(env):
             x = env[x_name]
             acc = x.dtype if x.dtype == np.float64 else np.float32
             w_all, taps, bias = weights_for(env, acc)
-            y = _dest(views, out_name, oshape, acc)
+            y = np.empty(oshape, acc)
             if fast_depthwise:
                 depthwise(x, w_all, taps, y)
             else:
@@ -720,7 +624,7 @@ class ExecutionPlan:
         epilogue = self._epilogue(node)
         packed: Dict[object, tuple] = {}
 
-        def run(env, views):
+        def run(env):
             a0 = env[a_name]
             a = a0.T if trans_a else a0
             acc = np.float64 if a0.dtype == np.float64 else np.float32
@@ -734,7 +638,7 @@ class ExecutionPlan:
             b, c = got
             if a.dtype != acc or not a.flags.c_contiguous:
                 a = a.astype(acc)
-            y = _dest(views, out_name, oshape, acc)
+            y = np.empty(oshape, acc)
             np.matmul(a, b, out=y)
             if alpha != 1.0:
                 np.multiply(y, alpha, out=y)
@@ -766,9 +670,9 @@ class ExecutionPlan:
         is_max = node.op_type == "MaxPool"
         fill = -np.inf if is_max else 0.0
         counts = None if is_max else _avgpool_divisor(node, xs)
-        x_name, out_name = node.inputs[0], node.outputs[0]
+        x_name = node.inputs[0]
 
-        def run(env, views):
+        def run(env):
             x = env[x_name]
             xp = self._buffer(
                 ("pool.xp", id(node)),
@@ -782,7 +686,7 @@ class ExecutionPlan:
                     hi, wj = i * dh, j * dw
                     stacks[i * kw + j] = xp[:, :, hi:hi + sh * out_h:sh,
                                             wj:wj + sw * out_w:sw]
-            y = _dest(views, out_name, (n, c, out_h, out_w), np.float32)
+            y = np.empty((n, c, out_h, out_w), np.float32)
             if is_max:
                 np.max(stacks, axis=0, out=y)
             elif counts is None:
@@ -804,8 +708,8 @@ class ExecutionPlan:
         axes = tuple(range(2, len(xs)))
         x_name = node.inputs[0]
 
-        def run(env, views):
-            y = _dest(views, out_name, oshape, np.float32)
+        def run(env):
+            y = np.empty(oshape, np.float32)
             np.mean(env[x_name], axis=axes, dtype=np.float32,
                     keepdims=True, out=y)
             return [y]
@@ -819,8 +723,8 @@ class ExecutionPlan:
             return None
         axis = node.int_attr("axis") % len(oshape)
 
-        def run(env, views):
-            y = _dest(views, out_name, oshape, np.float32)
+        def run(env):
+            y = np.empty(oshape, np.float32)
             sl: List[slice] = [slice(None)] * len(oshape)
             pos = 0
             for nm in in_names:
@@ -841,8 +745,8 @@ class ExecutionPlan:
         perm = list(node.ints_attr("perm")) or list(range(len(xs)))[::-1]
         x_name = node.inputs[0]
 
-        def run(env, views):
-            y = _dest(views, out_name, oshape, np.float32)
+        def run(env):
+            y = np.empty(oshape, np.float32)
             np.copyto(y, np.transpose(env[x_name], perm))
             return [y]
         return run
@@ -874,13 +778,13 @@ class ExecutionPlan:
             slicers.append(tuple(sl))
             pos += size
         x_name = node.inputs[0]
-        outputs = list(zip(node.outputs, shapes, slicers))
+        outputs = list(zip(shapes, slicers))
 
-        def run(env, views):
+        def run(env):
             x = env[x_name]
             outs = []
-            for o, shape, sl in outputs:
-                y = _dest(views, o, shape, np.float32)
+            for shape, sl in outputs:
+                y = np.empty(shape, np.float32)
                 np.copyto(y, x[sl])
                 outs.append(y)
             return outs
@@ -893,8 +797,8 @@ class ExecutionPlan:
             return None
         x_name = node.inputs[0]
 
-        def run(env, views):
-            y = _dest(views, out_name, oshape, np.float32)
+        def run(env):
+            y = np.empty(oshape, np.float32)
             np.maximum(env[x_name], 0, out=y)
             return [y]
         return run
@@ -908,8 +812,8 @@ class ExecutionPlan:
         fn = _OUT_BINARY[node.op_type]
         a_name, b_name = node.inputs
 
-        def run(env, views):
-            y = _dest(views, out_name, oshape, np.float32)
+        def run(env):
+            y = np.empty(oshape, np.float32)
             fn(env[a_name], env[b_name], out=y)
             return [y]
         return run
@@ -929,9 +833,9 @@ class ExecutionPlan:
         tracer lookup, nothing per step.  Traced and untraced runs
         execute the same steps, so their outputs are bit-identical.
 
-        Runs are concurrency-safe at every level: scratch state and the
-        O3 arena are per-thread, so callers may share one plan across
-        threads.
+        Runs are concurrency-safe at every level: scratch state is
+        per-thread, so callers may share one plan across threads.  Every
+        returned array belongs to the caller: no later run writes to it.
         """
         tracer = get_tracer()
         with self._lock:
@@ -957,33 +861,28 @@ class ExecutionPlan:
         names = list(fetch) if fetch is not None else self.graph.output_names
         keep: Set[str] = set(names) - self._protected if fetch is not None \
             else set()
-        # a fetched arena tensor would be overwritten by a later tenant
-        # of its slot: such runs compute every step into fresh arrays
-        views = self._views() if self._arena is not None and \
-            keep.isdisjoint(self._unsafe_fetch) else {}
         if self._calibrated:
-            self._execute(env, views, keep, tracer)
+            self._execute(env, keep, tracer)
         else:
             with self._lock:
                 # the first O3 run is exclusive: it decides, step by
                 # step, which outputs need the subnormal flush, applying
                 # each flush as values flow so run 1 is bit-identical to
                 # every steady-state run.  Flags freeze here.
-                self._execute(env, views, keep, tracer,
+                self._execute(env, keep, tracer,
                               calibrate=not self._calibrated)
                 self._calibrated = True
         missing = [n for n in names if n not in env]
         if missing:
             raise ExecutionError(f"requested tensors never produced: {missing}")
-        return {n: env[n].copy() if views and n in self._copy_out else env[n]
-                for n in names}
+        return {n: env[n] for n in names}
 
-    def _execute(self, env, views, keep, tracer=None,
+    def _execute(self, env, keep, tracer=None,
                  calibrate: bool = False) -> None:
         for step in self._steps:
             try:
                 if tracer is None:
-                    outs = step.run(env, views)
+                    outs = step.run(env)
                 else:
                     # op-type tag + model-layer name: the plan executes
                     # model-level nodes, so these spans are the model
@@ -991,7 +890,7 @@ class ExecutionPlan:
                     with tracer.span(f"op.{step.node.op_type}",
                                      op=step.node.name or "",
                                      op_type=step.node.op_type):
-                        outs = step.run(env, views)
+                        outs = step.run(env)
             except ExecutionError:
                 raise
             except Exception as exc:
@@ -1008,20 +907,6 @@ class ExecutionPlan:
             for dead in step.release:
                 if dead not in keep:
                     env.pop(dead, None)
-
-    def _views(self) -> Dict[str, np.ndarray]:
-        """This thread's arena view table (one arena per thread)."""
-        views = getattr(self._tls, "views", None)
-        if views is None:
-            arena = np.empty(max(self._arena.peak_bytes, 1), dtype=np.uint8)
-            views = {}
-            for name, off in self._arena.offsets.items():
-                shape, dt = self._slots[name]
-                nb = self._arena.sizes[name]
-                views[name] = arena[off:off + nb].view(dt).reshape(shape)
-            self._tls.arena = arena
-            self._tls.views = views
-        return views
 
     def _calibrate_step(self, step: _Step, env) -> None:
         """Flag the step if its outputs are measurably subnormal.
@@ -1086,13 +971,13 @@ class ExecutionPlan:
 
     @property
     def arena_peak_bytes(self) -> int:
-        """Static arena size of the O3 memory plan (0 below level 3)."""
-        return self._arena.peak_bytes if self._arena is not None else 0
+        """Always 0: plans have no static arena at any level.
 
-    @property
-    def o3_stats(self) -> Dict[str, int]:
-        """O3 compile statistics: step modes and arena sizes."""
-        return dict(self._o3_stats) if self._arena is not None else {}
+        Every writer allocates a fresh output array, which is what lets
+        each run hand its arrays to the caller.  Kept because the
+        ``plan-exec`` benchmark still reports ``plan.arena_peak_bytes``.
+        """
+        return 0
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"ExecutionPlan({self.graph.name!r}, {self.num_steps} steps, "
@@ -1107,7 +992,8 @@ def compile_plan(graph: Graph, seed: int = 0,
     ``optimize`` selects the rewrite pipeline level (see
     :data:`repro.ir.passes.OPTIMIZE_LEVELS`): 0 folds shape constants
     only, 1 adds bit-exact fusion rewrites and fast kernels, 2 adds
-    BatchNorm folding and numerics-relaxed kernels, 3 adds a static
-    arena for the writers' outputs and the calibrated subnormal flush.
+    BatchNorm folding and numerics-relaxed kernels, 3 adds the
+    calibrated subnormal flush.  Scratch buffers are per-thread, so the
+    plan may be shared across threads at every level.
     """
     return ExecutionPlan(graph, seed=seed, optimize=optimize)

@@ -5,6 +5,7 @@ import pytest
 
 from repro.ir.builder import GraphBuilder
 from repro.ir.executor import Executor, execute
+from repro.ir.graph import Graph
 from repro.ir.passes import (eliminate_dead_nodes, eliminate_identities,
                              fold_batchnorm, fold_shape_constants,
                              optimize_graph)
@@ -72,6 +73,74 @@ class TestFoldBatchnorm:
         assert folded.op_type_histogram().get("BatchNormalization", 0) == 0
         np.testing.assert_allclose(run(folded), baseline, rtol=1e-3,
                                    atol=1e-4)
+
+    @staticmethod
+    def bn_chain_graph():
+        """Two ``Conv -> BN -> BN -> Relu`` blocks with concrete weights."""
+        b = GraphBuilder("g")
+        x = b.input("x", (1, 3, 8, 8))
+        y = x
+        for i in range(2):
+            y = b.conv(y, 4, 3, padding=1, name=f"c{i}")
+            y = b.batchnorm(y, name=f"bn{i}a")
+            y = b.batchnorm(y, name=f"bn{i}b")
+            y = b.relu(y)
+        g = b.finish(y)
+        rng = np.random.default_rng(3)
+        for init in g.initializers.values():
+            init.data = rng.normal(size=init.info.shape).astype(np.float32)
+        return g
+
+    def test_one_consumer_map_build_per_pass(self, monkeypatch):
+        g = self.bn_chain_graph()
+        calls = []
+        consumer_map = Graph.consumer_map
+
+        def counted(graph):
+            calls.append(graph)
+            return consumer_map(graph)
+        monkeypatch.setattr(Graph, "consumer_map", counted)
+        folded = fold_batchnorm(g)
+        assert folded.op_type_histogram().get("BatchNormalization", 0) == 0
+        assert len(calls) == 1
+
+    def test_bn_chain_folds_one_pair_at_a_time(self):
+        # the second BN folds into weights already folded (and rounded
+        # to float32) with the first, under the twice-suffixed names
+        g = self.bn_chain_graph()
+        data = {name: init.data for name, init in g.initializers.items()}
+        convs = [n for n in g.nodes if n.op_type == "Conv"]
+        want = {}
+        for conv in convs:
+            w = data[conv.inputs[1]]
+            bias = data[conv.inputs[2]] if len(conv.inputs) > 2 and \
+                conv.inputs[2] else np.zeros(w.shape[0], np.float32)
+            bn_node = g.consumers(conv.outputs[0])[0]
+            for bn in (bn_node, g.consumers(bn_node.outputs[0])[0]):
+                gamma, beta, mean, var = (data[t].astype(np.float64)
+                                          for t in bn.inputs[1:5])
+                inv_std = gamma / np.sqrt(var ** 2 + 1e-5)
+                w = (w.astype(np.float64) * inv_std.reshape(-1, 1, 1, 1)
+                     ).astype(np.float32)
+                bias = ((bias.astype(np.float64) - mean) * inv_std + beta
+                        ).astype(np.float32)
+            want[f"{conv.inputs[1]}::folded::folded"] = (w, bias)
+        folded = fold_batchnorm(g)
+        assert folded.op_type_histogram().get("BatchNormalization", 0) == 0
+        got = {n.inputs[1]: n for n in folded.nodes if n.op_type == "Conv"}
+        assert set(got) == set(want)
+        for w_name, (w, bias) in want.items():
+            conv = got[w_name]
+            assert folded.initializers[w_name].data.tobytes() == w.tobytes()
+            assert folded.initializers[conv.inputs[2]].data.tobytes() == \
+                bias.tobytes()
+
+    def test_chain_folds_whatever_the_node_list_order(self):
+        g = self.bn_chain_graph()
+        g.nodes.reverse()
+        g.invalidate()
+        folded = fold_batchnorm(g)
+        assert folded.op_type_histogram().get("BatchNormalization", 0) == 0
 
 
 class TestEliminateIdentities:
@@ -387,8 +456,8 @@ class TestOptimizeGraphPipeline:
             optimize_graph(conv_bn_graph(), level=-1)
 
     def test_level_three_rewrites_match_level_two(self):
-        # O3's extra work is plan-compile machinery (scheduling, arena,
-        # pre-packing); the graph rewrite pipeline is O2's
+        # O3's extra work is the plan's subnormal flush; the graph
+        # rewrite pipeline is O2's
         assert plan_pipeline(3) == plan_pipeline(2)
 
     def test_level_one_is_bit_exact(self):

@@ -92,6 +92,37 @@ def test_repeat_runs_are_bit_identical():
             assert first[k].tobytes() == again[k].tobytes()
 
 
+def caller_owned_graph():
+    """Outputs straight from writers and through a view of one."""
+    b = GraphBuilder("owned")
+    x = b.input("x", (2, 4, 8, 8))
+    a = b.relu(b.conv(x, 4, 3, padding=1, name="conv"))
+    s = b.add(a, x)
+    return b.finish(b.reshape(s, (2, 256)), b.relu(s)), [a, s]
+
+
+@pytest.mark.parametrize("level", [0, 1, 2, 3])
+def test_run_outputs_belong_to_the_caller(level):
+    # the arrays one run returns must come through the next run (other
+    # feeds) unchanged: no later run may write into them
+    graph, inters = caller_owned_graph()
+    plan = compile_plan(graph, optimize=level)
+    feeds_a, feeds_b = feeds_for(graph, seed=1), feeds_for(graph, seed=2)
+    for fetch in (None, graph.output_names + inters):
+        got = plan.run(feeds_a, fetch=fetch)
+        want = {k: v.copy() for k, v in got.items()}
+        plan.run(feeds_b, fetch=fetch)
+        plan.run(feeds_b)
+        for k in want:
+            assert got[k].tobytes() == want[k].tobytes(), k
+
+
+def test_no_level_has_an_arena():
+    graph, _, _ = mlp_graph()
+    for level in range(4):
+        assert compile_plan(graph, optimize=level).arena_peak_bytes == 0
+
+
 def test_shape_subgraph_folds_at_compile_time():
     graph = shape_chain_graph()
     plan = compile_plan(graph)

@@ -1,5 +1,5 @@
-"""Oracle smokes: short perfbench runs of the profile path, the fleet
-and the compiled plans.
+"""Oracle smokes: short perfbench runs of the profile path, both
+service tiers and the compiled plans.
 
 ``perfbench/run.py`` exits 0 whatever its operations did, so each test
 reads the result line it prints last and requires every operation to
@@ -29,6 +29,13 @@ def run_perfbench(workload):
 
 def test_profile_cold_matches_oracle():
     run_perfbench("profile-cold")
+
+
+def test_service_threads_matches_oracle():
+    """Every reply of the thread tier, where sibling requests resolve
+    their graph reference against the shared analysis cache, matches
+    the oracle."""
+    run_perfbench("service-threads")
 
 
 def test_service_fleet_matches_oracle():

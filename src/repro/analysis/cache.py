@@ -158,6 +158,15 @@ class AnalysisCache(TieredLRU):
                 held = self._put("shapes", (fp,), graph)
         return fp, held
 
+    def held_graph(self, fp: str) -> Optional[Graph]:
+        """The graph the ``shapes`` tier holds for ``fp``, or None.
+
+        A peek: it neither counts as a lookup nor refreshes recency,
+        since the profile that follows looks the graph up itself.
+        """
+        with self._lock:
+            return self._tiers["shapes"].get((fp,))
+
     def arep(self, graph: Graph, precision: Any) -> AnalyzeRepresentation:
         """AR for ``graph`` at ``precision`` (cached per fp+precision).
 

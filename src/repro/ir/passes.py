@@ -369,7 +369,12 @@ def fuse_conv_activations(graph: Graph, in_place: bool = False) -> Graph:
     if not g.value_info:
         infer_shapes(g)
     outputs = set(g.output_names)
-    changed = False
+    # one consumer map for the whole scan: an absorbed epilogue only
+    # moves its output tensor onto the host, so the consumers of every
+    # tensor still live stay as they were.  The absorbed nodes go at
+    # the end, as in fold_batchnorm; removing them earlier would drop
+    # the map.
+    taken_all: List[Node] = []
     for node in g.toposort():
         if node.op_type not in _EPILOGUE_HOSTS or len(node.outputs) != 1:
             continue
@@ -392,13 +397,12 @@ def fuse_conv_activations(graph: Graph, in_place: bool = False) -> Graph:
                 break
             tokens.append(tok)
             node.outputs = [taken[-1].outputs[0]]
-            g.remove_nodes(taken)
+            taken_all.extend(taken)
             absorbed = True
         if absorbed:
             node.attrs["fused_ops"] = tokens
-            changed = True
-    if changed:
-        g.invalidate()
+    if taken_all:
+        g.remove_nodes(taken_all)
         infer_shapes(g)
     return g
 

@@ -12,13 +12,15 @@ N threads, so GIL-holding numpy kernels actually run in parallel.
   and platform) lands on the same process, so that shard's private
   :class:`~repro.analysis.cache.AnalysisCache` builds the graph's
   shapes, AR and fusion structure once and re-times the siblings from
-  its layer records, as the thread tier's shared cache does.  A job
-  whose request carries no graph routes by its request key.  Results
-  are cached only in the parent's :class:`ResultCache`, which the
-  policy consults before any job is dispatched, and the single-flight
-  table needs no cross-process coordination: exactly one task per
-  request fingerprint crosses the process boundary.  The cost is
-  balance: a hot graph's siblings queue on one shard.
+  its layer records, as the thread tier's shared cache does.  A
+  request that travels by graph reference routes by the referenced
+  fingerprint, so it lands on the shard that holds its graph and
+  crosses the pipe as a few strings.  Any other request routes by its
+  key.  Results are cached only in the parent's :class:`ResultCache`,
+  which the policy consults before any job is dispatched, and the
+  single-flight table needs no cross-process coordination: exactly
+  one task per request fingerprint crosses the process boundary.  The
+  cost is balance: a hot graph's siblings queue on one shard.
 * **Load-shedding** — each shard carries a bounded waiting queue; when
   it is full, submission fails with :class:`ShardBusyError` carrying a
   ``retry_after`` estimate (EWMA service time x backlog), which the
@@ -40,9 +42,9 @@ import threading
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple, Type
 
 from ..backends.base import UnsupportedModelError
-from ..ir.fingerprint import graph_fingerprint
 from ..obs.metrics import MetricsRegistry
 from .cache import ResultCache
+from .fingerprint import ProfileRequest
 from .policy import SchedulingPolicy
 from .queue import Job, JobTimeoutError
 from .shard import ShardConfig, ShardHandle, fleet_context
@@ -233,10 +235,13 @@ class Dispatcher(SchedulingPolicy):
     # ------------------------------------------------------------------
     def shard_for(self, job: Job) -> int:
         """The shard owning ``job``: by its request's graph fingerprint
-        (memoized on the graph), else by its request key."""
-        graph = getattr(job.request, "graph", None)
+        (a reference's, or the one memoized on the graph), so both
+        request forms of one graph meet on one shard; any other request
+        routes by its key."""
+        request = job.request
         return self.ring.shard_for(
-            job.key if graph is None else graph_fingerprint(graph))
+            request.graph_fingerprint()
+            if isinstance(request, ProfileRequest) else job.key)
 
     def _enqueue(self, job: Job, span) -> None:
         shard_id = self.shard_for(job)

@@ -4,9 +4,14 @@
 model names through the zoo registry, validates the configuration,
 fingerprints the request, and hands a :class:`Job` to its scheduler
 (whose shared policy consults the caches and the single-flight table
-first).  The
-default runner builds a fresh :class:`~repro.core.profiler.Profiler`
-per job, so worker threads share nothing.
+first).  The first named request for a ``(model, batch)`` builds and
+fingerprints the zoo graph here, in the caller's thread; every later
+configuration of it is keyed from the memoized fingerprint and carries
+a :class:`~repro.service.fingerprint.GraphRef`, which the scheduler's
+engine resolves inside the attempt (see
+:func:`~repro.service.fingerprint.resolve_request`).  The default
+runner builds a fresh :class:`~repro.core.profiler.Profiler` per job
+around the service's thread-safe analysis cache.
 
 :class:`ProfilingServer` exposes the facade over stdlib
 ``http.server``:
@@ -30,8 +35,8 @@ reports its error string rather than crashing the server.
 multi-process shard fleet (:mod:`repro.service.dispatch`) behind the
 same facade; :func:`make_service` picks the tier from a process count.
 Either way the service's own :class:`ResultCache` (with ``cache_dir``,
-its disk tier too) is the only result cache: fleet shards route by
-graph fingerprint and keep only analysis caches.
+its disk tier too) is the only result cache: fleet shards route both
+request forms by graph fingerprint and keep only analysis caches.
 """
 from __future__ import annotations
 
@@ -57,7 +62,7 @@ from ..obs.metrics import PROMETHEUS_CONTENT_TYPE, MetricsRegistry
 from ..obs.trace import Tracer
 from .cache import ResultCache
 from .dispatch import Dispatcher, ShardBusyError
-from .fingerprint import ProfileRequest
+from .fingerprint import GraphRef, ProfileRequest
 from .queue import Job, JobQueue, JobStatus, QueueFullError
 from .workers import WorkerPool
 
@@ -132,14 +137,14 @@ class ProfilingService:
         self._jobs_lock = threading.Lock()
         self._max_tracked = max_tracked_jobs
         self._ids = iter(range(1, 1 << 62))
-        #: (model key, batch, backend, platform, precision, source) ->
-        #: request fingerprint.  Zoo builders are deterministic, so a
-        #: named request's fingerprint is itself cacheable: warm repeats
-        #: skip graph construction *and* hashing (Dooly-style
-        #: redundancy awareness).  Content hashing remains authoritative
-        #: for ``graph=`` submissions.
-        self._name_keys: Dict[tuple, str] = {}
-        self._name_keys_lock = threading.Lock()
+        #: (model key, batch) -> :class:`GraphRef`.  Zoo builders are
+        #: deterministic, so the first named request for a (model,
+        #: batch) builds and fingerprints the graph and every later one,
+        #: whatever its configuration, travels by reference: no build,
+        #: no graph hash and, in the fleet, no pickled graph.  Content
+        #: hashing remains authoritative for ``graph=`` submissions.
+        self._graph_refs: Dict[tuple, GraphRef] = {}
+        self._graph_refs_lock = threading.Lock()
         self._scheduler = self._make_scheduler(
             runner, workers=workers, queue_size=queue_size,
             backoff_seconds=backoff_seconds)
@@ -209,36 +214,20 @@ class ProfilingService:
         if metric_source not in (MetricSource.PREDICTED,
                                  MetricSource.MEASURED):
             raise ValueError(f"unknown metric source {metric_source!r}")
-        name_key = None
+        ref = None
         if model is not None:
-            model = model.strip().lower()
-            name_key = (model, batch_size, backend, platform, precision,
-                        metric_source)
-            with self._name_keys_lock:
-                known = self._name_keys.get(name_key)
-            if known is not None:
-                # warm fast path: no graph build, no hashing
-                job = Job(
-                    job_id=f"job-{next(self._ids):06d}", key=known,
-                    request=None, priority=priority,
-                    summary={"model": model, "backend": backend,
-                             "platform": platform, "precision": precision,
-                             "metric_source": metric_source,
-                             "batch_size": batch_size})
-                if self._scheduler.complete_cached(job) is not None:
-                    self._track(job)
-                    return job
-            graph = build_model(model, batch_size=batch_size)
-        if not graph.value_info:
+            name_key = (model.strip().lower(), batch_size)
+            with self._graph_refs_lock:
+                ref = self._graph_refs.get(name_key)
+            if ref is None:
+                graph = build_model(name_key[0], batch_size=batch_size)
+        if graph is not None and not graph.value_info:
             # worker threads only read the graph; infer shapes up front
             infer_shapes(graph)
         request = ProfileRequest(graph=graph, backend=backend,
                                  platform=platform, precision=precision,
-                                 metric_source=metric_source)
+                                 metric_source=metric_source, ref=ref)
         key = request.fingerprint()
-        if name_key is not None:
-            with self._name_keys_lock:
-                self._name_keys[name_key] = key
         job = Job(
             job_id=f"job-{next(self._ids):06d}",
             key=key,
@@ -251,6 +240,12 @@ class ProfilingService:
             summary=request.summary(),
         )
         job = self._scheduler.submit(job)
+        if model is not None and ref is None:
+            # recorded only once the engine has the job (and the thread
+            # tier holds its graph), so a sibling's reference resolves
+            with self._graph_refs_lock:
+                self._graph_refs[name_key] = GraphRef(
+                    request.graph_fingerprint(), *name_key, graph.name)
         self._track(job)
         return job
 
@@ -323,9 +318,11 @@ class ShardedProfilingService(ProfilingService):
     :class:`~repro.service.dispatch.Dispatcher` onto ``processes``
     shard processes.  Placement is a function of the request's graph
     fingerprint, so every configuration of one graph shares one
-    shard's private analysis cache.  Numpy kernels hold the GIL, so
-    this is the tier that actually scales profiling throughput with
-    cores — see ``benchmarks/test_service_scaleout.py``.
+    shard's private analysis cache, and a sibling that travels by
+    reference finds its graph there instead of crossing the pipe.
+    Numpy kernels hold the GIL, so this is the tier that actually
+    scales profiling throughput with cores — see
+    ``benchmarks/test_service_scaleout.py``.
 
     Differences from the thread-pool service:
 

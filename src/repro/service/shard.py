@@ -14,9 +14,11 @@ parallelism.
 Two halves live here:
 
 * :func:`shard_main` — the child-process loop: receive ``(seq,
-  request)`` tasks over a pipe, run the runner (a fresh profiler
-  around a process-private analysis cache by default), reply with the
-  result or a typed error.
+  request)`` tasks over a pipe, resolve a graph reference against the
+  shard's private analysis cache (or rebuild the zoo graph when the
+  cache no longer holds it, as after a respawn), run the runner (a
+  fresh profiler around that cache by default), reply with the result
+  or a typed error.  A failed resolve is an ordinary attempt failure.
 * :class:`ShardHandle` — the parent-side proxy: a bounded waiting
   queue with load-shedding, exactly one task outstanding in the child
   at a time, a reader thread that completes jobs, per-attempt timeout
@@ -40,6 +42,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Deque, List, Optional, Tuple, Type
 
 from ..backends.base import UnsupportedModelError
+from .fingerprint import resolve_request
 from .queue import Job, JobStatus
 
 __all__ = ["ShardConfig", "ShardHandle", "shard_main", "fleet_context"]
@@ -70,16 +73,13 @@ class ShardConfig:
         default=(UnsupportedModelError,))
 
 
-def _default_shard_runner(config: ShardConfig) -> Callable[[Any], Any]:
-    """A profiler runner around a process-private analysis cache.
+def _default_shard_runner(analysis_cache) -> Callable[[Any], Any]:
+    """A profiler runner around the shard's private analysis cache.
 
     Imported lazily inside the child so a synthetic-runner fleet (tests,
     benchmarks) never pays for profiler imports.
     """
-    from ..analysis.cache import AnalysisCache
     from ..core.profiler import Profiler
-
-    analysis_cache = AnalysisCache()
 
     def run(request: Any):
         profiler = Profiler(request.backend, request.platform,
@@ -100,8 +100,13 @@ def shard_main(conn, runner: Optional[Callable[[Any], Any]],
         signal.signal(signal.SIGINT, signal.SIG_IGN)
     except (ValueError, OSError):
         pass                    # non-main thread (tests driving inline)
+    from ..analysis.cache import AnalysisCache
+
+    # graph references resolve against this cache, which the default
+    # runner profiles through
+    analysis_cache = AnalysisCache()
     if runner is None:
-        runner = _default_shard_runner(config)
+        runner = _default_shard_runner(analysis_cache)
     while True:
         try:
             msg = conn.recv()
@@ -114,7 +119,7 @@ def shard_main(conn, runner: Optional[Callable[[Any], Any]],
         started_cpu = time.process_time()
         ok, result, error = True, None, None
         try:
-            result = runner(request)
+            result = runner(resolve_request(request, analysis_cache))
         except BaseException as exc:  # noqa: BLE001 - reported to parent
             ok = False
             error = (type(exc).__name__, str(exc),

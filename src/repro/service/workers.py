@@ -9,7 +9,9 @@ tests).  Admission, dedup, retry budget and completion are the shared
 what a thread engine does:
 
 * **synchronous attempts** — a job's attempts and backoffs all run on
-  the worker that popped it, inside one ``job.execute`` span;
+  the worker that popped it, inside one ``job.execute`` span; each
+  attempt first resolves a graph reference against the pool's
+  analysis cache, which holds every admitted request's graph;
 * **per-attempt timeout** — a timed attempt runs on a helper thread and
   is abandoned when it overruns; the timeout counts as a transient
   failure, so it participates in the retry budget;
@@ -27,6 +29,7 @@ from ..analysis.cache import AnalysisCache
 from ..backends.base import UnsupportedModelError
 from ..obs.metrics import MetricsRegistry
 from .cache import ResultCache
+from .fingerprint import ProfileRequest, resolve_request
 from .policy import SchedulingPolicy
 from .queue import Job, JobQueue, JobTimeoutError, QueueFullError
 
@@ -64,8 +67,9 @@ class WorkerPool(SchedulingPolicy):
         self._queue = queue
         #: structural tier below the report cache — report-cache misses
         #: that share a graph/backend/precision still skip re-analysis.
-        #: The pool only reports it in ``/stats``; the runner is what
-        #: consults it (see ``server.default_runner``).
+        #: The pool resolves graph references to the graphs it holds
+        #: and reports it in ``/stats``; the runner is what profiles
+        #: through it (see ``server.default_runner``).
         self.analysis_cache = analysis_cache
         self.num_workers = num_workers
         self._executor: Optional[ThreadPoolExecutor] = None
@@ -110,6 +114,12 @@ class WorkerPool(SchedulingPolicy):
 
     # ------------------------------------------------------------------
     def _enqueue(self, job: Job, span) -> None:
+        request = job.request
+        if isinstance(request, ProfileRequest) and request.graph is not None \
+                and self.analysis_cache is not None:
+            # hold the graph now, so a sibling reference that a second
+            # worker pops before this job runs still finds it
+            self.analysis_cache.ensure_shapes(request.graph)
         for dropped in self._queue.put(job):
             self._cancelled(dropped)
 
@@ -157,9 +167,14 @@ class WorkerPool(SchedulingPolicy):
         else:
             self._fail(job, error, fatal)
 
+    def _run(self, job: Job):
+        """One attempt's work: resolve a graph reference, then run."""
+        return self._runner(resolve_request(job.request,
+                                            self.analysis_cache))
+
     def _run_attempt(self, job: Job, parent_span=None):
         if job.timeout_seconds is None:
-            return self._runner(job.request)
+            return self._run(job)
         box: list = []
         error: list = []
         tracer = self._tracer()
@@ -172,7 +187,7 @@ class WorkerPool(SchedulingPolicy):
             try:
                 with tracer.span("job.attempt.body", trace_id=job.id,
                                  parent=parent):
-                    box.append(self._runner(job.request))
+                    box.append(self._run(job))
             except BaseException as exc:  # noqa: BLE001 - reraised below
                 error.append(exc)
 

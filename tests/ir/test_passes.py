@@ -317,6 +317,26 @@ class TestFuseConvActivations:
         assert "fused_ops" not in next(
             n for n in fused.nodes if n.op_type == "Conv").attrs
 
+    def test_one_consumer_map_build_per_pass(self, monkeypatch):
+        b = GraphBuilder("g")
+        y = b.input("x", (1, 3, 8, 8))
+        for i, act in enumerate((b.relu, b.silu, b.relu6, b.relu)):
+            y = act(b.conv(y, 4, 3, padding=1, name=f"conv{i}"))
+        g = b.finish(y)
+        baseline = run(g)
+        builds = []
+        consumer_map = Graph.consumer_map
+
+        def counted(graph):
+            if graph._consumer_cache is None:
+                builds.append(graph)
+            return consumer_map(graph)
+        monkeypatch.setattr(Graph, "consumer_map", counted)
+        fused = fuse_conv_activations(g)
+        assert set(fused.op_type_histogram()) == {"Conv"}
+        assert len(builds) == 1
+        np.testing.assert_array_equal(run(fused), baseline)
+
 
 class TestFuseElementwiseChains:
     def chain_graph(self):

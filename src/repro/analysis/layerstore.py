@@ -37,8 +37,8 @@ which graph computed them first.
 
 A store is private to its owning :class:`AnalysisCache` by default;
 passing one explicitly (``AnalysisCache(layer_store=...)``) shares
-layer records across caches — that is the "warm store, cold cache"
-configuration the sweep-redundancy benchmark measures.
+layer records across caches: the "warm store, cold cache"
+configuration.
 """
 from __future__ import annotations
 

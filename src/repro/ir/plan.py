@@ -196,6 +196,37 @@ def _out_stages(tokens: Sequence[str]):
     return stages, needs_tmp
 
 
+def _buffer(tls: threading.local, key: object, shape: Tuple[int, ...],
+            dtype, fill: Optional[float] = None) -> np.ndarray:
+    """The calling thread's scratch array for ``key`` in ``tls``.
+
+    Step closures hold the plan's ``threading.local``, never the plan,
+    so a dropped plan is freed by refcount rather than by the cyclic GC.
+    """
+    scratch = getattr(tls, "scratch", None)
+    if scratch is None:
+        scratch = tls.scratch = {}
+    buf = scratch.get(key)
+    if buf is None or buf.shape != shape or buf.dtype != dtype:
+        if fill is None:
+            buf = np.empty(shape, dtype=dtype)
+        else:
+            buf = np.full(shape, fill, dtype=dtype)
+        scratch[key] = buf
+    return buf
+
+
+def _apply_stages(tls: threading.local, node: Node, compiled,
+                  src: np.ndarray, dst: np.ndarray) -> None:
+    stages, needs_tmp = compiled
+    tmp = _buffer(tls, ("epi", id(node)), dst.shape, np.float32) \
+        if needs_tmp else None
+    cur = src
+    for stage in stages:
+        stage(cur, dst, tmp)
+        cur = dst
+
+
 class _Step:
     """One compiled node: bound kernel, wiring, release list and flush.
 
@@ -370,20 +401,6 @@ class ExecutionPlan:
         return all(self._static_dtype(t) == np.float32
                    for t in list(names) + list(node.outputs))
 
-    def _buffer(self, key: object, shape: Tuple[int, ...], dtype,
-                fill: Optional[float] = None) -> np.ndarray:
-        scratch = getattr(self._tls, "scratch", None)
-        if scratch is None:
-            scratch = self._tls.scratch = {}
-        buf = scratch.get(key)
-        if buf is None or buf.shape != shape or buf.dtype != dtype:
-            if fill is None:
-                buf = np.empty(shape, dtype=dtype)
-            else:
-                buf = np.full(shape, fill, dtype=dtype)
-            scratch[key] = buf
-        return buf
-
     def _epilogue(self, node: Node):
         """The node's fused epilogue as ``apply(y) -> y``, or None.
 
@@ -395,6 +412,7 @@ class ExecutionPlan:
             return None
         compiled = _out_stages(tokens)
         stages = _fused_stages(tokens)
+        tls = self._tls
 
         def apply(y: np.ndarray) -> np.ndarray:
             if compiled is None or y.dtype != np.float32:
@@ -402,19 +420,9 @@ class ExecutionPlan:
                 for fn in stages:
                     y = fn(y, dt)
                 return y
-            self._apply_stages(node, compiled, y, y)
+            _apply_stages(tls, node, compiled, y, y)
             return y
         return apply
-
-    def _apply_stages(self, node: Node, compiled, src: np.ndarray,
-                      dst: np.ndarray) -> None:
-        stages, needs_tmp = compiled
-        tmp = self._buffer(("epi", id(node)), dst.shape, np.float32) \
-            if needs_tmp else None
-        cur = src
-        for stage in stages:
-            stage(cur, dst, tmp)
-            cur = dst
 
     # -- fused elementwise chains ---------------------------------------
     def _compile_fused_elementwise(self, node: Node) -> Optional[_StepFn]:
@@ -428,10 +436,11 @@ class ExecutionPlan:
                 not self._float32(node):
             return None
         x_name = node.inputs[0]
+        tls = self._tls
 
         def run(env):
             y = np.empty(shape, np.float32)
-            self._apply_stages(node, compiled, env[x_name], y)
+            _apply_stages(tls, node, compiled, env[x_name], y)
             return [y]
         return run
 
@@ -485,6 +494,7 @@ class ExecutionPlan:
         # gather windows in one strided copy and run one batched
         # per-channel GEMV instead of kh*kw multiply/accumulate passes
         small_dw = fast_depthwise and dh == 1 and dw == 1 and hw <= 32
+        tls = self._tls
 
         def pack(env, acc):
             wt = env[w_name]
@@ -512,22 +522,22 @@ class ExecutionPlan:
 
         def depthwise(x, w2, taps, y):
             if padded:
-                xp = self._buffer(
-                    ("conv.xp", id(node)),
+                xp = _buffer(
+                    tls, ("conv.xp", id(node)),
                     (n, c_in, h + ph0 + ph1, w_dim + pw0 + pw1),
                     x.dtype, fill=0)
                 xp[:, :, ph0:ph0 + h, pw0:pw0 + w_dim] = x
             else:
                 xp = x
             if small_dw:
-                win = self._buffer(("conv.dwwin", id(node)),
-                                   (n, c_out, out_h, out_w, kh, kw), y.dtype)
+                win = _buffer(tls, ("conv.dwwin", id(node)),
+                              (n, c_out, out_h, out_w, kh, kw), y.dtype)
                 np.copyto(win, sliding_window_view(
                     xp, (kh, kw), axis=(2, 3))[:, :, ::sh, ::sw])
                 np.matmul(win.reshape(n, c_out, hw, kh * kw), w2[:, :, None],
                           out=y.reshape(n, c_out, hw, 1))
                 return
-            tmp = self._buffer(("conv.dwtmp", id(node)), oshape, y.dtype)
+            tmp = _buffer(tls, ("conv.dwtmp", id(node)), oshape, y.dtype)
             for i in range(kh):
                 hi = i * dh
                 for j in range(kw):
@@ -546,8 +556,8 @@ class ExecutionPlan:
                 if sh == 1 and sw == 1:
                     col2d = x.reshape(n, c_in, hw)
                 else:
-                    sb = self._buffer(("conv.s1", id(node)),
-                                      (n, c_in, out_h, out_w), x.dtype)
+                    sb = _buffer(tls, ("conv.s1", id(node)),
+                                 (n, c_in, out_h, out_w), x.dtype)
                     np.copyto(sb, x[:, :, ::sh, ::sw])
                     col2d = sb.reshape(n, c_in, hw)
             else:
@@ -556,12 +566,12 @@ class ExecutionPlan:
                 # reshape, so every group sees exactly the values the
                 # legacy per-group _im2col produced — without `group`
                 # pad/gather passes
-                xp = self._buffer(
-                    ("conv.xp", id(node)),
+                xp = _buffer(
+                    tls, ("conv.xp", id(node)),
                     (n, c_in, h + ph0 + ph1, w_dim + pw0 + pw1),
                     x.dtype, fill=0) if padded else None
-                cols = self._buffer(("conv.cols", id(node)),
-                                    (n, c_in, kh, kw, out_h, out_w), x.dtype)
+                cols = _buffer(tls, ("conv.cols", id(node)),
+                               (n, c_in, kh, kw, out_h, out_w), x.dtype)
                 col2d, _, _ = _im2col(x, kh, kw, sh, sw, ph0, pw0, ph1, pw1,
                                       dh, dw, xp=xp, cols=cols)
             if group == 1:
@@ -572,8 +582,8 @@ class ExecutionPlan:
             # same per-group GEMMs the legacy loop did
             colg = col2d.reshape(n, group, -1, hw).transpose(1, 0, 2, 3)
             mat = colg if colg.dtype == acc else colg.astype(acc)
-            yg = self._buffer(("conv.yg", id(node)), (group, n, cg_out, hw),
-                              acc)
+            yg = _buffer(tls, ("conv.yg", id(node)), (group, n, cg_out, hw),
+                         acc)
             np.matmul(w_all[:, None], mat, out=yg)
             np.copyto(y.reshape(n, group, cg_out, hw),
                       yg.transpose(1, 0, 2, 3))
@@ -671,16 +681,17 @@ class ExecutionPlan:
         fill = -np.inf if is_max else 0.0
         counts = None if is_max else _avgpool_divisor(node, xs)
         x_name = node.inputs[0]
+        tls = self._tls
 
         def run(env):
             x = env[x_name]
-            xp = self._buffer(
-                ("pool.xp", id(node)),
+            xp = _buffer(
+                tls, ("pool.xp", id(node)),
                 (n, c, h + ph0 + ph1 + eh, w_dim + pw0 + pw1 + ew),
                 np.float32, fill=fill)
             xp[:, :, ph0:ph0 + h, pw0:pw0 + w_dim] = x
-            stacks = self._buffer(("pool.stacks", id(node)),
-                                  (kh * kw, n, c, out_h, out_w), np.float32)
+            stacks = _buffer(tls, ("pool.stacks", id(node)),
+                             (kh * kw, n, c, out_h, out_w), np.float32)
             for i in range(kh):
                 for j in range(kw):
                     hi, wj = i * dh, j * dw
@@ -941,7 +952,7 @@ class ExecutionPlan:
             v = env.get(nm)
             if v is None or v.dtype != np.float32 or v.size == 0:
                 continue
-            mask = self._buffer(("ftz", nm), v.shape, np.float32)
+            mask = _buffer(self._tls, ("ftz", nm), v.shape, np.float32)
             np.abs(v, out=mask)
             np.greater_equal(mask, _TINY, out=mask)
             np.multiply(v, mask, out=v)

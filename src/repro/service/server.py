@@ -320,9 +320,8 @@ class ShardedProfilingService(ProfilingService):
     fingerprint, so every configuration of one graph shares one
     shard's private analysis cache, and a sibling that travels by
     reference finds its graph there instead of crossing the pipe.
-    Numpy kernels hold the GIL, so this is the tier that actually
-    scales profiling throughput with cores — see
-    ``benchmarks/test_service_scaleout.py``.
+    Numpy kernels hold the GIL, so this is the tier that can scale
+    profiling throughput with cores, on hosts with a core per shard.
 
     Differences from the thread-pool service:
 

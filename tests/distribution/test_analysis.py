@@ -3,10 +3,15 @@ import json
 
 import pytest
 
+from repro.backends.simruntime import SimulatedRuntime
+from repro.core.profiler import Profiler
 from repro.distribution import (BOUND_COMMUNICATION, BOUND_COMPUTE,
                                 BOUND_MEMORY, DistributionReport, NVLINK,
                                 PCIE_GEN4, profile_partitioned)
 from repro.distribution.analysis import _classify
+
+STRATEGIES = ("pipeline", "tensor", "hybrid")
+DEVICE_COUNTS = (2, 4, 8)
 
 
 class TestClassify:
@@ -82,6 +87,38 @@ class TestClassificationFlip:
         pcie, _, _ = profile_partitioned(resnet_report, 8,
                                          strategy="tensor", link=PCIE_GEN4)
         assert pcie.communication_fraction > nv.communication_fraction
+
+
+class TestSweep:
+    """What-ifs over one profile: no re-analysis, work conserved."""
+
+    def test_sweep_reuses_the_profile(self, resnet_report, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the partition sweep re-ran analysis")
+
+        monkeypatch.setattr(Profiler, "profile", refuse)
+        monkeypatch.setattr(SimulatedRuntime, "compile", refuse)
+        base = (sum(l.flop for l in resnet_report.layers),
+                sum(l.read_bytes for l in resnet_report.layers),
+                sum(l.write_bytes for l in resnet_report.layers))
+        for strategy in STRATEGIES:
+            for n in DEVICE_COUNTS:
+                dist, plan, _ = profile_partitioned(resnet_report, n,
+                                                    strategy=strategy)
+                assert plan.totals() == pytest.approx(base, rel=1e-9)
+                assert 0.0 < dist.parallel_efficiency <= 1.0
+                assert 0.0 <= dist.communication_fraction < 1.0
+
+    def test_scaling_shapes(self, resnet_report):
+        # NVLink pipelines outscale PCIe tensor parallelism at every N,
+        # and PCIe tensor parallelism goes communication-bound at N=8
+        for n in DEVICE_COUNTS:
+            nv, _, _ = profile_partitioned(resnet_report, n,
+                                           strategy="pipeline", link=NVLINK)
+            pt, _, _ = profile_partitioned(resnet_report, n,
+                                           strategy="tensor", link=PCIE_GEN4)
+            assert nv.parallel_efficiency > pt.parallel_efficiency, n
+        assert pt.communication_fraction > 0.5
 
 
 class TestSerialization:

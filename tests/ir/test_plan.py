@@ -1,5 +1,7 @@
 """ExecutionPlan behavior: compile-time folding, liveness, bit-identity."""
+import gc
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -121,6 +123,30 @@ def test_no_level_has_an_arena():
     graph, _, _ = mlp_graph()
     for level in range(4):
         assert compile_plan(graph, optimize=level).arena_peak_bytes == 0
+
+
+@pytest.mark.parametrize("level", [0, 1, 2, 3])
+def test_dropped_plan_is_freed_by_refcount(level):
+    # step closures hold the plan's thread-local scratch, not the plan:
+    # a plan in a reference cycle would keep its weights and scratch
+    # until the cyclic collector runs.  Every scratch-taking writer:
+    b = GraphBuilder("scratch")
+    h = b.relu(b.batchnorm(b.conv(b.input("x", (1, 4, 8, 8)), 8, 3,
+                                  padding=1)))
+    h = b.silu(b.pointwise_conv(b.depthwise_conv(b.maxpool(h, 2), 3,
+                                                 padding=1), 8))
+    graph = b.finish(b.relu(b.linear(b.flatten(b.global_avgpool(h)), 4)))
+    feeds = feeds_for(graph)
+    gc.collect()
+    gc.disable()
+    try:
+        plan = compile_plan(graph, optimize=level)
+        plan.run(feeds)
+        ref = weakref.ref(plan)
+        del plan
+        assert ref() is None, "a dropped plan needs the cyclic GC"
+    finally:
+        gc.enable()
 
 
 def test_shape_subgraph_folds_at_compile_time():

@@ -6,8 +6,9 @@ pipeline or tensor parallelism and pick a deployment for a latency SLO.
 
 Run:  python examples/distributed_serving.py
 """
-from repro.core import (NVLINK, PCIE_GEN4, Profiler, estimate_pipeline,
-                        estimate_tensor_parallel)
+from repro.core import Profiler
+from repro.distribution import (NVLINK, PCIE_GEN4, estimate_pipeline,
+                                estimate_tensor_parallel)
 from repro.models import build_model
 
 MODEL, BATCH = "vit-base", 64

@@ -17,8 +17,6 @@ tier       key                                         value
 shapes     ``fp``                                      the one held graph,
                                                        shape-inferred
 arep       ``fp, precision``                           AR over held graph
-mapped     ``fp, backend, spec, precision``            compiled + AR + OAR
-                                                       + mapped layers
 layer      per-layer fingerprint keys                  cost / class /
                                                        latency records
 structure  ``fp, backend, spec`` (precision-free)      donor MappedEntry
@@ -39,12 +37,12 @@ capacity — the layer tier needs tens of thousands of slots where a
 whole-graph tier needs ``max_entries`` (128) — and its own eviction
 counter.
 
-The ``mapped`` tier stores the *post-mapping* OAR — backend layer
-mapping mutates the OAR (``set_fused_op``), so the safely shareable
-artifact is the finished state, keyed by everything that shaped it.
-Entries carry a ``memo`` dict for caller-side derived values (the
-profiler parks its per-layer cost prototypes there) so this module
-stays independent of :mod:`repro.core`.
+The ``structure`` tier is the only whole-model memo on the profile
+path: it stores the *post-mapping* OAR — backend layer mapping mutates
+the OAR (``set_fused_op``), so the safely shareable artifact is the
+finished state.  Layer mapping is precision-free for every simulated
+runtime, so one donor per ``(fp, backend, spec)`` serves every
+precision (Dooly's map-once rule, see PAPERS.md).
 
 Sharing a cached AR/OAR across profiler calls is sound because both are
 read-only after mapping; sharing across *graph objects* is sound
@@ -61,17 +59,17 @@ may build twice (last write wins with an equivalent value) but never
 block each other on dict access, and the first graph seeded for a
 fingerprint is never replaced.
 
-:meth:`mapped_entry` additionally takes an ``assemble`` callback: on a
-``mapped`` miss whose precision-free *structure* is already known (a
-sibling precision built it, this run or — via a shared store — another
-cache's), the caller may assemble a new entry from the donor's layer
-records instead of re-running compile + mapping.  The profiler supplies
-this for backends whose layer structure is precision-invariant.
+:meth:`mapped_entry` takes two callbacks: on a ``structure`` hit the
+caller *assembles* its entry from the donor (returning the donor itself
+at the donor's precision, or re-timing its layers from latency records
+at another), and on a miss it *builds* one, which becomes the donor.
+Assembled entries are never stored, so nothing the cache holds refers
+to them once their profile is done.
 """
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 from ..ir.fingerprint import graph_fingerprint
@@ -93,14 +91,11 @@ class MappedEntry:
     arep: AnalyzeRepresentation
     oar: OptimizedAnalyzeRepresentation
     mapped: List[Any]
-    #: caller-side derived values keyed by the caller (kept generic so
-    #: the analysis layer does not import profiler types)
-    memo: Dict[Any, Any] = field(default_factory=dict)
 
 
 class AnalysisCache(TieredLRU):
-    """LRU memo for shape inference, AR/OAR, mapped layers and —
-    through its :class:`LayerStore` — per-layer analysis records.
+    """LRU memo for shape inference and AR and — through its
+    :class:`LayerStore` — per-layer records and donor structures.
 
     Each whole-graph tier holds up to ``max_entries`` entries;
     ``len(cache)`` counts them, and the store keeps its own count
@@ -108,7 +103,7 @@ class AnalysisCache(TieredLRU):
     """
 
     #: whole-graph tiers stored in this cache itself
-    GRAPH_TIERS = ("shapes", "arep", "mapped")
+    GRAPH_TIERS = ("shapes", "arep")
     #: every tier this cache reports stats for (the last two are
     #: delegated to the layer store)
     TIERS = GRAPH_TIERS + LayerStore.TIERS
@@ -188,41 +183,24 @@ class AnalysisCache(TieredLRU):
         return self._get_or_build("arep", key, build)
 
     def mapped_entry(self, graph: Graph, backend_key: str, spec_key: str,
-                     precision: Any,
-                     build: Callable[[AnalyzeRepresentation], MappedEntry],
-                     assemble: Optional[Callable[
-                         [MappedEntry, AnalyzeRepresentation],
-                         Optional[MappedEntry]]] = None,
+                     build: Callable[[], MappedEntry],
+                     assemble: Callable[[MappedEntry], MappedEntry],
                      ) -> MappedEntry:
-        """Post-mapping entry for one (graph, backend, spec, precision).
+        """Post-mapping entry for one (graph, backend, spec).
 
-        ``build`` receives the cached AR and returns the finished
-        :class:`MappedEntry`; it runs only on a miss.
-
-        ``assemble``, when given, is tried first on a miss: if the
-        precision-free *structure* tier holds a donor entry for
-        ``(fp, backend, spec)`` (built by a sibling precision), the
-        callback receives it plus the cached AR and may assemble the
-        new entry from shared layer records instead of re-running
-        compile + mapping.  Returning ``None`` falls back to ``build``.
+        A ``structure`` hit returns ``assemble(donor)``; a miss returns
+        ``build()``, stored as the donor for every later precision.
+        Without a layer store there is no donor, so every call builds.
         """
         fp = self.ensure_shapes(graph)
-        key = (fp, backend_key, spec_key, getattr(precision, "value", precision))
-        hit, entry = self._get("mapped", key)
-        if hit:
-            return entry
         store = self.layer_store
+        if store is None:
+            return build()
         structure_key = (fp, backend_key, spec_key)
-        if store is not None and assemble is not None:
-            donor_hit, donor = store.structure(structure_key)
-            if donor_hit:
-                entry = assemble(donor, self.arep(graph, precision))
-                if entry is not None:
-                    return self._put("mapped", key, entry)
-        entry = build(self.arep(graph, precision))
-        if store is not None:
-            store.put_structure(structure_key, entry)
-        return self._put("mapped", key, entry)
+        hit, donor = store.structure(structure_key)
+        if hit:
+            return assemble(donor)
+        return store.put_structure(structure_key, build())
 
     # ------------------------------------------------------------------
     # introspection

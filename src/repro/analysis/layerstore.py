@@ -1,12 +1,11 @@
 """Cross-model, cross-config layer store (the sub-graph cache tiers).
 
 The whole-graph tiers of :class:`~repro.analysis.cache.AnalysisCache`
-key entire graphs, so a precision sweep misses the ``mapped`` tier on
-every point and a model zoo shares nothing even though MobileNetV2 and
-EfficientNet repeat near-identical conv blocks.  Following the
-redundancy-aware profiling idea (Dooly, see PAPERS.md), the layer store
-memoizes analysis *records* at sub-graph granularity under the
-name-free fingerprints of :mod:`repro.ir.fingerprint`:
+key entire graphs, so a model zoo shares nothing there even though
+MobileNetV2 and EfficientNet repeat near-identical conv blocks.
+Following the redundancy-aware profiling idea (Dooly, see PAPERS.md),
+the layer store memoizes analysis *records* at sub-graph granularity
+under the name-free fingerprints of :mod:`repro.ir.fingerprint`:
 
 ``layer`` tier — one record per (kind, layer fingerprint, …):
 
@@ -20,14 +19,15 @@ latency    ``fingerprint, spec key, precision``        seconds (float)
 
 ``structure`` tier — one finished
 :class:`~repro.analysis.cache.MappedEntry` per
-``(graph fingerprint, backend, spec)``, *any* precision: the fusion
-plan, backend layer list and layer mapping of the simulated runtimes do
-not depend on precision, so a sweep's first point donates the structure
-and every other precision point re-times its layers from ``latency``
-records instead of re-running compile + mapping (the profiler's
-*assemble* path; ``check_supported`` still runs per precision, so
-precision-specific rejections like TensorRT's int8 Stable-Diffusion
-failure are preserved).
+``(graph fingerprint, backend, spec)``, *any* precision, and the only
+whole-model memo on the profile path: the fusion plan, backend layer
+list and layer mapping of the simulated runtimes do not depend on
+precision, so the first profile of a structure donates it, an exact
+repeat reuses it as is, and every other precision re-times its layers
+from ``latency`` records instead of re-running compile + mapping (the
+profiler's *assemble* path; ``check_supported`` still runs per
+precision, so precision-specific rejections like TensorRT's int8
+Stable-Diffusion failure are preserved).
 
 Sharing a record across graphs is sound because the fingerprint covers
 everything the record's computation reads — op types, attributes,
@@ -165,5 +165,6 @@ class LayerStore(TieredLRU):
 
     def put_structure(self, key: Tuple, entry: Any) -> Any:
         """Register a freshly built entry as the donor for its
-        structure key (first precision wins; later puts refresh LRU)."""
+        structure key and return it (a concurrent miss may replace it
+        with an equivalent entry built at another precision)."""
         return self._put("structure", key, entry)

@@ -191,13 +191,6 @@ class Backend(abc.ABC):
     #: short identifier, e.g. ``"trt-sim"``
     name: str = "backend"
 
-    #: whether the compiled layer *structure* (fusion plan, layer list,
-    #: mapping hints) is independent of precision — precision then only
-    #: affects per-layer latencies and ``check_supported``, which is
-    #: what lets the profiler assemble sibling-precision entries from a
-    #: donor structure instead of recompiling
-    structure_precision_invariant: bool = False
-
     @abc.abstractmethod
     def compile(self, graph: Graph, spec: HardwareSpec,
                 precision: DataType = DataType.FLOAT16,

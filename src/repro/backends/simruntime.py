@@ -29,10 +29,6 @@ class SimulatedRuntime(Backend):
     #: op types this runtime cannot compile, per platform name (or "*")
     unsupported_ops: Dict[str, frozenset] = {}
 
-    #: fusion planning and layer building read only shapes/op types —
-    #: precision feeds :meth:`check_supported` and the latency model
-    structure_precision_invariant = True
-
     def fusion_config(self, spec: HardwareSpec) -> FusionConfig:
         return FusionConfig()
 

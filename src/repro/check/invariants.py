@@ -144,8 +144,8 @@ def check_cache_roundtrip(graph: Graph, backend: str = "trt-sim",
     if cold != first:
         problems.append(f"cold run digest {cold[:12]} != cached "
                         f"{first[:12]}")
-    if cache.stats()["mapped"]["hits"] < 1:
-        problems.append("second profile did not hit the mapped tier")
+    if cache.stats()["structure"]["hits"] < 1:
+        problems.append("second profile did not hit the structure tier")
     return InvariantResult("cache-roundtrip", graph.name, not problems,
                            "; ".join(problems))
 

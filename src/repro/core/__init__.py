@@ -10,13 +10,6 @@ from .sweep import BatchSweep, SweepPoint, sweep_batch_sizes
 from .insights import Insight, Severity, analyze, format_insights
 from .hierarchy import ModuleProfile, aggregate, format_modules
 from .diff import ReportDiff, diff_reports, format_diff
-# distributed estimation lives in repro.distribution; these re-exports
-# stay for compatibility
-from ..distribution.estimators import (PipelineEstimate,
-                                       TensorParallelEstimate,
-                                       estimate_pipeline,
-                                       estimate_tensor_parallel)
-from ..distribution.topology import NVLINK, PCIE_GEN4, Interconnect
 
 __all__ = [
     "EndToEnd", "LayerProfile", "MetricSource", "ProfileReport",
@@ -30,7 +23,4 @@ __all__ = [
     "Insight", "Severity", "analyze", "format_insights",
     "ModuleProfile", "aggregate", "format_modules",
     "ReportDiff", "diff_reports", "format_diff",
-    "NVLINK", "PCIE_GEN4", "Interconnect", "PipelineEstimate",
-    "TensorParallelEstimate", "estimate_pipeline",
-    "estimate_tensor_parallel",
 ]

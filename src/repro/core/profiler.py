@@ -23,7 +23,6 @@ import time
 from contextlib import contextmanager
 from typing import Dict, Optional, Union
 
-from ..analysis.arep import AnalyzedOp, AnalyzeRepresentation
 from ..analysis.cache import AnalysisCache, MappedEntry, shared_analysis_cache
 from ..analysis.oarep import OptimizedAnalyzeRepresentation
 from ..analysis.opdefs import OpClass
@@ -131,12 +130,15 @@ class Profiler:
         """
         if tracer is None:
             tracer = self._tracer()
-
+        cache = self.analysis_cache if self.analysis_cache is not None \
+            else AnalysisCache(metrics=MetricsRegistry(), layer_store=False)
         built = []
         assembled = []
 
-        def build(arep: AnalyzeRepresentation) -> MappedEntry:
+        def build() -> MappedEntry:
             built.append(True)
+            with _stage(tracer, stages, "arep"):
+                arep = cache.arep(graph, self.precision)
             # compile and mapping share one AR, so each layer is
             # fingerprinted, classified and costed once per profile.  A
             # cached AR sits on the graph the cache holds for this
@@ -154,81 +156,60 @@ class Profiler:
             return MappedEntry(compiled=compiled, arep=arep, oar=oar,
                                mapped=mapped)
 
-        def assemble(donor: MappedEntry,
-                     arep: AnalyzeRepresentation) -> Optional[MappedEntry]:
+        def assemble(donor: MappedEntry) -> MappedEntry:
             with _stage(tracer, stages, "assemble",
                         backend=self.backend.name):
-                entry = self._assemble_entry(donor, arep)
-            if entry is not None:
+                entry = self._assemble_entry(donor)
+            if entry is not donor:
                 assembled.append(True)
             return entry
 
-        cache = self.analysis_cache if self.analysis_cache is not None \
-            else AnalysisCache(metrics=MetricsRegistry(), layer_store=False)
-        # fetch (or build) the AR under its own span, then the mapped
-        # tier; the arep tier is memoized, so this adds one lookup, not
-        # a second construction
-        with _stage(tracer, stages, "arep"):
-            cache.arep(graph, self.precision)
         with tracer.span("mapped_entry") as span:
-            entry = cache.mapped_entry(
-                graph, self.backend.name, self._spec_key(), self.precision,
-                build,
-                assemble=assemble if getattr(
-                    self.backend, "structure_precision_invariant", False)
-                else None)
+            entry = cache.mapped_entry(graph, self.backend.name,
+                                       self._spec_key(), build, assemble)
             span.set("cache_hit", not built and not assembled)
             span.set("assembled", bool(assembled))
         return entry
 
-    def _assemble_entry(self, donor: MappedEntry,
-                        arep: AnalyzeRepresentation
-                        ) -> Optional[MappedEntry]:
-        """Rebuild a :class:`MappedEntry` at this profiler's precision
-        from a sibling precision's donor structure.
+    def _assemble_entry(self, donor: MappedEntry) -> MappedEntry:
+        """This profiler's entry from the ``structure`` tier's donor.
 
-        The backend's fusion plan, layer list and mapping are precision
-        invariant (the caller checked ``structure_precision_invariant``),
-        so only per-layer latencies change: each layer is re-timed from
-        its ground-truth unit through the layer store's latency records
-        — a warm store makes this a dict lookup per layer — falling
-        back to the latency simulator for shapes never timed at this
-        precision.  Per-precision support limits still apply:
+        At the donor's precision that is the donor itself.  Otherwise
+        only per-layer latencies change — the backend's fusion plan,
+        layer list and mapping are precision-free — so each layer is
+        re-timed from its ground-truth unit through the layer store's
+        latency records (a dict lookup per layer on a warm store),
+        falling back to the latency simulator for shapes never timed at
+        this precision.  Per-precision support limits still apply:
         ``check_supported`` runs exactly as a cold compile would.
 
-        The new model sits on ``arep.graph``, as a cold compile's does,
-        so the entry never keeps the request's graph alive.  Only a
-        configured cache with a layer store offers a donor, so the
-        store is always there.
+        The entry shares the donor's AR and OAR: units cost themselves
+        at any precision, and the AR's graph and tensor table do not
+        depend on it.  Only a configured cache with a layer store
+        offers a donor, so the store is always there.
         """
         compiled = donor.compiled
-        truth = compiled.truth_units
-        if truth is None or len(truth) != len(compiled.layers):
-            return None  # donor predates truth alignment: cold-build
+        if compiled.precision == self.precision:
+            return donor
+        arep = donor.arep
         self.backend.check_supported(arep.graph, self.spec, self.precision)
         store = self.analysis_cache.layer_store
         sim = LatencySimulator(self.spec)
         spec_key = self._spec_key()
         new_layers = []
         new_mapped = []
-        for layer, unit, m in zip(compiled.layers, truth, donor.mapped):
-            latency = layer_latency(unit, layer.name, donor.arep, sim,
-                                    self.precision, store, spec_key)
+        for layer, unit, m in zip(compiled.layers, compiled.truth_units,
+                                  donor.mapped):
             new_layer = dataclasses.replace(
-                layer,
-                inputs=list(layer.inputs), outputs=list(layer.outputs),
-                exposed_member_names=None
-                if layer.exposed_member_names is None
-                else list(layer.exposed_member_names),
-                true_member_names=list(layer.true_member_names),
-                true_folded_names=list(layer.true_folded_names),
-                latency_seconds=latency)
+                layer, latency_seconds=layer_latency(
+                    unit, layer.name, arep, sim, self.precision, store,
+                    spec_key))
             new_layers.append(new_layer)
             new_mapped.append(MappedLayer(layer=new_layer, unit=m.unit))
         new_model = BackendModel(
             backend_name=compiled.backend_name, graph=arep.graph,
             precision=self.precision, spec=self.spec, layers=new_layers,
-            truth_units=truth)
+            truth_units=compiled.truth_units)
         return MappedEntry(compiled=new_model, arep=arep,
                            oar=donor.oar, mapped=new_mapped)
 
@@ -256,18 +237,9 @@ class Profiler:
                  stages: Optional[Dict[str, float]]) -> ProfileReport:
         entry = self._mapped_entry(graph, tracer, stages)
         compiled, arep, mapped = entry.compiled, entry.arep, entry.mapped
-        with _stage(tracer, stages, "layer_profiles",
-                    layers=len(mapped)) as span:
-            protos = entry.memo.get("layer_profiles")
-            span.set("memo_hit", protos is not None)
-            if protos is None:
-                protos = [self._layer_profile(m, arep) for m in mapped]
-                entry.memo["layer_profiles"] = protos
-            # MEASURED mode mutates scalar fields in place, so hand out
-            # copies
-            layers = [dataclasses.replace(
-                lp, model_layers=list(lp.model_layers),
-                folded_layers=list(lp.folded_layers)) for lp in protos]
+        with _stage(tracer, stages, "layer_profiles", layers=len(mapped)):
+            # fresh lists per call: MEASURED mode mutates them in place
+            layers = [self._layer_profile(m) for m in mapped]
         overhead = 0.0
         if self.metric_source == MetricSource.MEASURED:
             with _stage(tracer, stages, "measured_replay",
@@ -313,8 +285,7 @@ class Profiler:
     def roofline(self) -> Roofline:
         return roofline_for(self.spec, self.precision)
 
-    def _layer_profile(self, m: MappedLayer,
-                       arep: AnalyzeRepresentation) -> LayerProfile:
+    def _layer_profile(self, m: MappedLayer) -> LayerProfile:
         cost = m.unit.cost(self.precision)  # type: ignore[attr-defined]
         folded = []
         if hasattr(m.unit, "folded"):

@@ -405,8 +405,8 @@ def platform_names() -> Tuple[str, ...]:
 def spec_cache_key(spec: HardwareSpec) -> str:
     """Deterministic cache-key string covering every field of a spec.
 
-    Cache tiers keyed by hardware (the analysis cache's ``mapped`` and
-    ``structure`` tiers, the layer store's latency records) use this so
+    Cache tiers keyed by hardware (the layer store's ``structure`` tier
+    and its latency records) use this so
     two specs sharing a name but differing in any parameter (e.g. a
     clock-tuned Jetson) never alias.
     """

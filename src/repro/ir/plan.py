@@ -63,17 +63,14 @@ the level really runs, flush included.
 A level-0/1 plan's results are bit-identical to the legacy
 ``execute()`` path: weights are the same seeded stream, and the
 specialised steps perform exactly the legacy arithmetic on reused
-scratch buffers.  Scratch buffers are *per-thread* state
-(``threading.local``), so one plan may be shared and run concurrently
-from any number of threads at every optimization level; each thread
-pays its own scratch warm-up and results stay bit-identical
-run-to-run.  Outputs are never scratch: every array a run returns
-belongs to the caller.  The only serialized section is the first O3
-run (the flush-to-zero calibration pass).
+scratch buffers.  Scratch buffers belong to the plan and are reused by
+every run, so a plan is for one thread at a time: each caller compiles
+and runs its own.  Outputs are never scratch: every array a run returns
+belongs to the caller.  The first O3 run also calibrates the
+flush-to-zero pass.
 """
 from __future__ import annotations
 
-import threading
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -196,16 +193,14 @@ def _out_stages(tokens: Sequence[str]):
     return stages, needs_tmp
 
 
-def _buffer(tls: threading.local, key: object, shape: Tuple[int, ...],
-            dtype, fill: Optional[float] = None) -> np.ndarray:
-    """The calling thread's scratch array for ``key`` in ``tls``.
+def _buffer(scratch: Dict[object, np.ndarray], key: object,
+            shape: Tuple[int, ...], dtype,
+            fill: Optional[float] = None) -> np.ndarray:
+    """The scratch array for ``key`` in ``scratch``.
 
-    Step closures hold the plan's ``threading.local``, never the plan,
-    so a dropped plan is freed by refcount rather than by the cyclic GC.
+    Step closures hold the plan's scratch dict, never the plan, so a
+    dropped plan is freed by refcount rather than by the cyclic GC.
     """
-    scratch = getattr(tls, "scratch", None)
-    if scratch is None:
-        scratch = tls.scratch = {}
     buf = scratch.get(key)
     if buf is None or buf.shape != shape or buf.dtype != dtype:
         if fill is None:
@@ -216,10 +211,10 @@ def _buffer(tls: threading.local, key: object, shape: Tuple[int, ...],
     return buf
 
 
-def _apply_stages(tls: threading.local, node: Node, compiled,
+def _apply_stages(scratch: Dict[object, np.ndarray], node: Node, compiled,
                   src: np.ndarray, dst: np.ndarray) -> None:
     stages, needs_tmp = compiled
-    tmp = _buffer(tls, ("epi", id(node)), dst.shape, np.float32) \
+    tmp = _buffer(scratch, ("epi", id(node)), dst.shape, np.float32) \
         if needs_tmp else None
     cur = src
     for stage in stages:
@@ -290,10 +285,8 @@ class ExecutionPlan:
         self._base_env.update(self._folded_consts)
         self._feeds = [(t.name, tuple(t.shape), np.dtype(t.dtype.to_numpy()))
                        for t in graph.inputs]
-        #: scratch buffers are per-thread: one plan may run concurrently
-        #: from many threads with no shared mutable run state
-        self._tls = threading.local()
-        self._lock = threading.Lock()
+        #: scratch buffers reused by every run (one thread at a time)
+        self._scratch: Dict[object, np.ndarray] = {}
         self._run_count = 0
         self._protected = set(work.output_names)
         #: below O3 there is nothing to calibrate
@@ -412,7 +405,7 @@ class ExecutionPlan:
             return None
         compiled = _out_stages(tokens)
         stages = _fused_stages(tokens)
-        tls = self._tls
+        scratch = self._scratch
 
         def apply(y: np.ndarray) -> np.ndarray:
             if compiled is None or y.dtype != np.float32:
@@ -420,7 +413,7 @@ class ExecutionPlan:
                 for fn in stages:
                     y = fn(y, dt)
                 return y
-            _apply_stages(tls, node, compiled, y, y)
+            _apply_stages(scratch, node, compiled, y, y)
             return y
         return apply
 
@@ -436,11 +429,11 @@ class ExecutionPlan:
                 not self._float32(node):
             return None
         x_name = node.inputs[0]
-        tls = self._tls
+        scratch = self._scratch
 
         def run(env):
             y = np.empty(shape, np.float32)
-            _apply_stages(tls, node, compiled, env[x_name], y)
+            _apply_stages(scratch, node, compiled, env[x_name], y)
             return [y]
         return run
 
@@ -494,7 +487,7 @@ class ExecutionPlan:
         # gather windows in one strided copy and run one batched
         # per-channel GEMV instead of kh*kw multiply/accumulate passes
         small_dw = fast_depthwise and dh == 1 and dw == 1 and hw <= 32
-        tls = self._tls
+        scratch = self._scratch
 
         def pack(env, acc):
             wt = env[w_name]
@@ -523,21 +516,21 @@ class ExecutionPlan:
         def depthwise(x, w2, taps, y):
             if padded:
                 xp = _buffer(
-                    tls, ("conv.xp", id(node)),
+                    scratch, ("conv.xp", id(node)),
                     (n, c_in, h + ph0 + ph1, w_dim + pw0 + pw1),
                     x.dtype, fill=0)
                 xp[:, :, ph0:ph0 + h, pw0:pw0 + w_dim] = x
             else:
                 xp = x
             if small_dw:
-                win = _buffer(tls, ("conv.dwwin", id(node)),
+                win = _buffer(scratch, ("conv.dwwin", id(node)),
                               (n, c_out, out_h, out_w, kh, kw), y.dtype)
                 np.copyto(win, sliding_window_view(
                     xp, (kh, kw), axis=(2, 3))[:, :, ::sh, ::sw])
                 np.matmul(win.reshape(n, c_out, hw, kh * kw), w2[:, :, None],
                           out=y.reshape(n, c_out, hw, 1))
                 return
-            tmp = _buffer(tls, ("conv.dwtmp", id(node)), oshape, y.dtype)
+            tmp = _buffer(scratch, ("conv.dwtmp", id(node)), oshape, y.dtype)
             for i in range(kh):
                 hi = i * dh
                 for j in range(kw):
@@ -556,7 +549,7 @@ class ExecutionPlan:
                 if sh == 1 and sw == 1:
                     col2d = x.reshape(n, c_in, hw)
                 else:
-                    sb = _buffer(tls, ("conv.s1", id(node)),
+                    sb = _buffer(scratch, ("conv.s1", id(node)),
                                  (n, c_in, out_h, out_w), x.dtype)
                     np.copyto(sb, x[:, :, ::sh, ::sw])
                     col2d = sb.reshape(n, c_in, hw)
@@ -567,10 +560,10 @@ class ExecutionPlan:
                 # legacy per-group _im2col produced — without `group`
                 # pad/gather passes
                 xp = _buffer(
-                    tls, ("conv.xp", id(node)),
+                    scratch, ("conv.xp", id(node)),
                     (n, c_in, h + ph0 + ph1, w_dim + pw0 + pw1),
                     x.dtype, fill=0) if padded else None
-                cols = _buffer(tls, ("conv.cols", id(node)),
+                cols = _buffer(scratch, ("conv.cols", id(node)),
                                (n, c_in, kh, kw, out_h, out_w), x.dtype)
                 col2d, _, _ = _im2col(x, kh, kw, sh, sw, ph0, pw0, ph1, pw1,
                                       dh, dw, xp=xp, cols=cols)
@@ -582,7 +575,7 @@ class ExecutionPlan:
             # same per-group GEMMs the legacy loop did
             colg = col2d.reshape(n, group, -1, hw).transpose(1, 0, 2, 3)
             mat = colg if colg.dtype == acc else colg.astype(acc)
-            yg = _buffer(tls, ("conv.yg", id(node)), (group, n, cg_out, hw),
+            yg = _buffer(scratch, ("conv.yg", id(node)), (group, n, cg_out, hw),
                          acc)
             np.matmul(w_all[:, None], mat, out=yg)
             np.copyto(y.reshape(n, group, cg_out, hw),
@@ -681,16 +674,16 @@ class ExecutionPlan:
         fill = -np.inf if is_max else 0.0
         counts = None if is_max else _avgpool_divisor(node, xs)
         x_name = node.inputs[0]
-        tls = self._tls
+        scratch = self._scratch
 
         def run(env):
             x = env[x_name]
             xp = _buffer(
-                tls, ("pool.xp", id(node)),
+                scratch, ("pool.xp", id(node)),
                 (n, c, h + ph0 + ph1 + eh, w_dim + pw0 + pw1 + ew),
                 np.float32, fill=fill)
             xp[:, :, ph0:ph0 + h, pw0:pw0 + w_dim] = x
-            stacks = _buffer(tls, ("pool.stacks", id(node)),
+            stacks = _buffer(scratch, ("pool.stacks", id(node)),
                              (kh * kw, n, c, out_h, out_w), np.float32)
             for i in range(kh):
                 for j in range(kw):
@@ -844,14 +837,13 @@ class ExecutionPlan:
         tracer lookup, nothing per step.  Traced and untraced runs
         execute the same steps, so their outputs are bit-identical.
 
-        Runs are concurrency-safe at every level: scratch state is
-        per-thread, so callers may share one plan across threads.  Every
-        returned array belongs to the caller: no later run writes to it.
+        Runs reuse the plan's scratch buffers, so one plan runs on one
+        thread at a time.  Every returned array belongs to the caller:
+        no later run writes to it.
         """
         tracer = get_tracer()
-        with self._lock:
-            self._run_count += 1
-            count = self._run_count
+        self._run_count += 1
+        count = self._run_count
         if not (tracer.enabled and tracer.plan_ops
                 and (count - 1) % tracer.plan_op_sample == 0):
             return self._run(feeds, fetch)
@@ -872,17 +864,11 @@ class ExecutionPlan:
         names = list(fetch) if fetch is not None else self.graph.output_names
         keep: Set[str] = set(names) - self._protected if fetch is not None \
             else set()
-        if self._calibrated:
-            self._execute(env, keep, tracer)
-        else:
-            with self._lock:
-                # the first O3 run is exclusive: it decides, step by
-                # step, which outputs need the subnormal flush, applying
-                # each flush as values flow so run 1 is bit-identical to
-                # every steady-state run.  Flags freeze here.
-                self._execute(env, keep, tracer,
-                              calibrate=not self._calibrated)
-                self._calibrated = True
+        # the first O3 run decides, step by step, which outputs need the
+        # subnormal flush, applying each flush as values flow so run 1 is
+        # bit-identical to every steady-state run.  Flags freeze here.
+        self._execute(env, keep, tracer, calibrate=not self._calibrated)
+        self._calibrated = True
         missing = [n for n in names if n not in env]
         if missing:
             raise ExecutionError(f"requested tensors never produced: {missing}")
@@ -952,7 +938,7 @@ class ExecutionPlan:
             v = env.get(nm)
             if v is None or v.dtype != np.float32 or v.size == 0:
                 continue
-            mask = _buffer(self._tls, ("ftz", nm), v.shape, np.float32)
+            mask = _buffer(self._scratch, ("ftz", nm), v.shape, np.float32)
             np.abs(v, out=mask)
             np.greater_equal(mask, _TINY, out=mask)
             np.multiply(v, mask, out=v)
@@ -1004,7 +990,7 @@ def compile_plan(graph: Graph, seed: int = 0,
     :data:`repro.ir.passes.OPTIMIZE_LEVELS`): 0 folds shape constants
     only, 1 adds bit-exact fusion rewrites and fast kernels, 2 adds
     BatchNorm folding and numerics-relaxed kernels, 3 adds the
-    calibrated subnormal flush.  Scratch buffers are per-thread, so the
-    plan may be shared across threads at every level.
+    calibrated subnormal flush.  The plan reuses its scratch buffers, so
+    run it from one thread at a time.
     """
     return ExecutionPlan(graph, seed=seed, optimize=optimize)

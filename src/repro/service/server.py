@@ -128,9 +128,10 @@ class ProfilingService:
         self.tracer = tracer if tracer is not None else Tracer(
             max_spans=50_000)
         #: per-service structural memo shared by all worker threads;
-        #: sits below the report cache — see docs/PERF.md
-        self.analysis_cache = analysis_cache if analysis_cache is not None \
-            else AnalysisCache(metrics=self.metrics)
+        #: sits below the report cache — see docs/PERF.md.  The thread
+        #: tier builds one when none is given; the fleet's shards keep
+        #: their own, so the fleet parent holds none
+        self.analysis_cache = analysis_cache
         self.default_max_retries = max_retries
         self.default_timeout = default_timeout
         self._jobs: Dict[str, Job] = {}
@@ -152,6 +153,8 @@ class ProfilingService:
     def _make_scheduler(self, runner, *, workers: int, queue_size: int,
                         backoff_seconds: float):
         """The thread tier: one priority queue drained by a pool."""
+        if self.analysis_cache is None:
+            self.analysis_cache = AnalysisCache(metrics=self.metrics)
         if runner is None:
             runner = lambda request: default_runner(  # noqa: E731
                 request, analysis_cache=self.analysis_cache,
@@ -353,18 +356,13 @@ class ShardedProfilingService(ProfilingService):
         tracer: Optional[Tracer] = None,
     ) -> None:
         self.processes = processes
-        # shards own their (process-private) analysis caches; the
-        # parent-side one exists only for facade compatibility, so its
-        # per-tier counters, which would always read zero, stay out of
-        # the service registry
         super().__init__(workers=processes, queue_size=shard_queue_size,
                          cache_bytes=cache_bytes,
                          cache_entries=cache_entries, cache_dir=cache_dir,
                          negative_ttl=negative_ttl, max_retries=max_retries,
                          backoff_seconds=backoff_seconds,
                          default_timeout=default_timeout, runner=runner,
-                         max_tracked_jobs=max_tracked_jobs,
-                         analysis_cache=AnalysisCache(), tracer=tracer)
+                         max_tracked_jobs=max_tracked_jobs, tracer=tracer)
 
     def _make_scheduler(self, runner, *, workers: int, queue_size: int,
                         backoff_seconds: float):

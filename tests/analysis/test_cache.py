@@ -96,7 +96,7 @@ class TestProfilerIntegration:
         warm2 = warm_profiler.profile(g)
         assert report_digest(cold) == report_digest(warm1)
         assert report_digest(cold) == report_digest(warm2)
-        assert cache.stats()["mapped"]["hits"] == 1
+        assert cache.stats()["structure"]["hits"] == 1
 
     def test_measured_mode_does_not_corrupt_prototypes(self):
         g = small_graph()
@@ -115,8 +115,11 @@ class TestProfilerIntegration:
             Profiler("trt-sim", "a100", precision,
                      analysis_cache=cache).profile(g)
         stats = cache.stats()
-        assert stats["arep"]["misses"] == 2      # one AR per precision
-        assert stats["mapped"]["misses"] == 2
+        # fp32 assembles from the fp16 donor: one AR, one structure
+        assert stats["shapes"]["misses"] == 1
+        assert stats["arep"]["misses"] == 1
+        assert stats["structure"] == {"hits": 1, "misses": 1,
+                                      "evictions": 0}
 
     def test_true_resolves_to_shared_singleton(self):
         p1 = Profiler("trt-sim", "a100", analysis_cache=True)
@@ -295,7 +298,7 @@ class TestLayerStoreSharing:
             small_graph())
         Profiler("trt-sim", "a100", analysis_cache=cache).profile(
             small_graph())
-        assert cache.hit_rates()["mapped"] == 0.5
+        assert cache.hit_rates()["structure"] == 0.5
 
 
 class TestAssemblePath:
@@ -319,21 +322,52 @@ class TestAssemblePath:
         cold = self._digest("fp32", analysis_cache=False)
         assert warm == cold
         stats = fresh.stats()
-        assert stats["mapped"] == {"hits": 0, "misses": 1, "evictions": 0}
-        assert store.stats()["structure"]["hits"] == 1
+        assert stats["arep"] == {"hits": 0, "misses": 0, "evictions": 0}
+        assert store.stats()["structure"] == {"hits": 1, "misses": 1,
+                                              "evictions": 0}
 
-    def test_assembled_entries_count_as_mapped_misses(self):
+    def test_exact_repeat_reuses_the_donor_as_is(self, monkeypatch):
+        """A fresh cache over a warm store, at the donor's precision:
+        the donor is the entry, so nothing is compiled or re-timed."""
+        import repro.backends.base as backend_base
+        import repro.core.profiler as profiler_module
+        from repro.analysis.layerstore import LayerStore
+        from repro.backends.simruntime import SimulatedRuntime
+        store = LayerStore()
+        first = self._digest("fp16",
+                             analysis_cache=AnalysisCache(layer_store=store))
+        calls = []
+
+        def forbidden(name):
+            def call(*args, **kwargs):
+                calls.append(name)
+                raise AssertionError(f"{name} ran on an exact repeat")
+            return call
+
+        monkeypatch.setattr(SimulatedRuntime, "compile", forbidden("compile"))
+        for module in (backend_base, profiler_module):
+            monkeypatch.setattr(module, "layer_latency",
+                                forbidden("layer_latency"))
+        repeat = self._digest("fp16",
+                              analysis_cache=AnalysisCache(layer_store=store))
+        monkeypatch.undo()
+        assert calls == []
+        assert store.stats()["structure"] == {"hits": 1, "misses": 1,
+                                              "evictions": 0}
+        assert repeat == first == self._digest("fp16", analysis_cache=False)
+
+    def test_assembled_entries_are_structure_hits(self):
         cache = AnalysisCache()
         g = small_graph()
         for precision in ("fp16", "fp32", "bf16"):
             Profiler("trt-sim", "a100", precision,
                      analysis_cache=cache).profile(g)
         stats = cache.stats()
-        # every precision is a distinct mapped key: 3 misses, and the
-        # two assembled points each hit the donor structure
-        assert stats["mapped"]["misses"] == 3
+        # fp16 builds the donor and its AR; the two assembled points
+        # each hit the donor structure and build no AR of their own
         assert stats["structure"]["hits"] == 2
         assert stats["structure"]["misses"] == 1
+        assert stats["arep"]["misses"] == 1
 
     def test_assembled_reports_match_cold_per_precision(self):
         cache = AnalysisCache()
@@ -382,8 +416,8 @@ class TestOneGraphPerFingerprint:
     a fingerprint, whichever request built the entry."""
 
     MODELS = ("mobilenetv2-05", "shufflenetv2-05", "vit-tiny")
-    #: per model, in order: arep + mapped miss, assemble from the
-    #: structure donor at a new precision, mapped miss on an arep hit
+    #: per model, in order: arep + structure miss, assemble from the
+    #: structure donor at a new precision, structure miss on an arep hit
     CONFIGS = (("trt-sim", "a100", "fp16"), ("trt-sim", "a100", "fp32"),
                ("ort-sim", "xeon6330", "fp16"))
 
@@ -403,17 +437,16 @@ class TestOneGraphPerFingerprint:
                 assert report_digest(warm) == report_digest(cold), \
                     (model, backend, precision)
         stats = cache.stats()
-        assert stats["arep"]["misses"] == 2 * len(self.MODELS)
+        assert stats["arep"]["misses"] == len(self.MODELS)
+        assert stats["arep"]["hits"] == len(self.MODELS)
         assert stats["structure"]["hits"] == len(self.MODELS)
-        assert stats["mapped"]["misses"] == 3 * len(self.MODELS)
+        assert stats["structure"]["misses"] == 2 * len(self.MODELS)
 
-        mapped = list(cache._tiers["mapped"].values())
         donors = list(cache.layer_store._tiers["structure"].values())
-        assert len(mapped) == 3 * len(self.MODELS)
         assert len(donors) == 2 * len(self.MODELS)
         graphs = {id(a.graph): a.graph
                   for a in cache._tiers["arep"].values()}
-        for entry in mapped + donors:
+        for entry in donors:
             assert entry.compiled.graph is entry.arep.graph
             graphs[id(entry.arep.graph)] = entry.arep.graph
         assert len(graphs) == len(fingerprints) == len(self.MODELS)

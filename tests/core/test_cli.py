@@ -174,9 +174,10 @@ def test_run_with_trace_writes_chrome_trace(capsys, tmp_path):
     events = json.loads(trace_path.read_text())
     assert isinstance(events, list) and events
     names = {e["name"] for e in events}
-    # compile/mapping spans vanish when the shared analysis cache is
-    # warm from earlier tests; these stages always run
-    assert {"profile", "arep", "layer_profiles", "roofline"} <= names
+    # arep/compile/mapping spans vanish when the shared analysis cache
+    # is warm from earlier tests; these spans always run
+    assert {"profile", "mapped_entry", "layer_profiles",
+            "roofline"} <= names
     for evt in events:
         assert "ph" in evt and "ts" in evt and "name" in evt
         if evt["ph"] == "X":

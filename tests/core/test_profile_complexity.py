@@ -151,3 +151,19 @@ def test_each_layer_analysed_once_per_cold_profile(backend, cached,
     assert 0 < distinct < analyses["fused_units"]
     assert analyses["fused_io"] == distinct
     assert analyses["group_fp"] == (distinct if cached else 0)
+
+
+@pytest.mark.parametrize("backend", sorted(PLATFORMS))
+def test_assembled_sibling_builds_no_ar(backend, analyses):
+    """A sibling precision re-times the donor's layers over the donor's
+    AR: ``layer_latency`` and every unit's cost already read that AR."""
+    graph = build_model("mobilenetv2-05")
+    cache = AnalysisCache()
+    Profiler(backend, PLATFORMS[backend], DataType.FLOAT16,
+             analysis_cache=cache).profile(graph)
+    analyses.clear()
+    report = Profiler(backend, PLATFORMS[backend], DataType.FLOAT32,
+                      analysis_cache=cache).profile(graph)
+    assert report.layers
+    assert cache.stats()["structure"]["hits"] == 1
+    assert analyses["arep"] == 0

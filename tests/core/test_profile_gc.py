@@ -12,6 +12,8 @@ gone: the profiler's assemble path re-times a donor's truth units, and
 
 A request's graph is freed by reference counting too: every cache tier
 refers to the one graph held per fingerprint, never to the request's.
+So is an assembled entry: the cache keeps only the donor it was
+assembled from.
 """
 import gc
 import weakref
@@ -83,6 +85,25 @@ def test_sibling_request_graph_is_freed_by_refcount(backend, precision):
                           analysis_cache=cache).profile(graph)
         assert report.layers
         del graph
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("backend", sorted(PLATFORMS))
+def test_assembled_entry_is_freed_by_refcount(backend):
+    cache = AnalysisCache()
+    graph = build_model(MODEL)
+    Profiler(backend, PLATFORMS[backend], "fp16",
+             analysis_cache=cache).profile(graph)
+    gc.collect()
+    gc.disable()
+    try:
+        entry = Profiler(backend, PLATFORMS[backend], "fp32",
+                         analysis_cache=cache)._mapped_entry(graph)
+        assert cache.stats()["structure"]["hits"] == 1
+        ref = weakref.ref(entry)
+        del entry
         assert ref() is None
     finally:
         gc.enable()

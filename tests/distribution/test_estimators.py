@@ -1,8 +1,5 @@
 """Closed-form estimator tests (ported from tests/core/test_distributed
 when the estimators moved to repro.distribution)."""
-import importlib
-import warnings
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -114,15 +111,3 @@ def test_pipeline_bottleneck_at_least_mean(n):
     assert max(stage_sums) >= sum(lats) / n - 1e-12
     assert sum(stage_sums) == pytest.approx(sum(lats))
 
-
-def test_core_package_reexports_do_not_warn():
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        import repro.core
-        importlib.reload(repro.core)
-    assert not any(issubclass(w.category, DeprecationWarning)
-                   for w in caught)
-    import repro.distribution as distribution
-    assert repro.core.NVLINK is distribution.NVLINK
-    assert repro.core.estimate_pipeline is distribution.estimate_pipeline
-    assert repro.core.NVLINK.name == "nvlink3"

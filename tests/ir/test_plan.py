@@ -1,6 +1,5 @@
 """ExecutionPlan behavior: compile-time folding, liveness, bit-identity."""
 import gc
-import threading
 import weakref
 
 import numpy as np
@@ -127,7 +126,7 @@ def test_no_level_has_an_arena():
 
 @pytest.mark.parametrize("level", [0, 1, 2, 3])
 def test_dropped_plan_is_freed_by_refcount(level):
-    # step closures hold the plan's thread-local scratch, not the plan:
+    # step closures hold the plan's scratch dict, not the plan:
     # a plan in a reference cycle would keep its weights and scratch
     # until the cyclic collector runs.  Every scratch-taking writer:
     b = GraphBuilder("scratch")
@@ -218,25 +217,3 @@ def test_unknown_op_fails_at_compile_time():
     g.value_info = {"x": g.inputs[0], "y": g.outputs[0]}
     with pytest.raises(ExecutionError, match="no executor"):
         compile_plan(g)
-
-
-def test_concurrent_runs_are_serialized_and_correct():
-    graph, _, _ = mlp_graph()
-    plan = compile_plan(graph)
-    feeds = feeds_for(graph)
-    want = plan.run(feeds)["fc2_out"].tobytes()
-    results, errors = [], []
-
-    def work():
-        try:
-            results.append(plan.run(feeds)["fc2_out"].tobytes())
-        except Exception as exc:  # pragma: no cover - failure path
-            errors.append(exc)
-
-    threads = [threading.Thread(target=work) for _ in range(8)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    assert not errors
-    assert all(r == want for r in results)

@@ -4,8 +4,6 @@ O3 applies exactly O2's graph rewrites and runs the same steps, so
 outputs must match O2 bit-for-bit on the same compiled graph (unless
 the flush fires) and match O0 within the O2 tolerance budget.
 """
-import threading
-
 import numpy as np
 import pytest
 
@@ -154,37 +152,3 @@ class TestSubnormalFlush:
         assert np.count_nonzero(got) == 0
         ops = [s.name for s in tracer.spans() if s.name.startswith("op.")]
         assert ops == [f"op.{st.node.op_type}" for st in plan._steps]
-
-
-class TestConcurrentSharing:
-    """One plan object shared by many threads must stay deterministic."""
-
-    @pytest.mark.parametrize("level", [1, 3])
-    def test_threads_sharing_one_plan_get_bit_identical_outputs(self, level):
-        g = branchy_graph()
-        plan = compile_plan(g, optimize=level)
-        feed_sets = [feeds_for(g, seed=s) for s in range(4)]
-        want = [plan.run(f) for f in feed_sets]
-        results = [[None] * len(feed_sets) for _ in range(8)]
-        errors = []
-
-        def worker(slot):
-            try:
-                for i, f in enumerate(feed_sets):
-                    results[slot][i] = plan.run(f)
-            except Exception as exc:  # pragma: no cover - failure path
-                errors.append(exc)
-
-        threads = [threading.Thread(target=worker, args=(t,))
-                   for t in range(8)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert not errors
-        for slot in range(8):
-            for i, ref in enumerate(want):
-                got = results[slot][i]
-                for name in ref:
-                    assert bit_equal(ref[name], got[name]), \
-                        f"thread {slot}, feeds {i}, output {name!r}"

@@ -190,6 +190,30 @@ def test_fleet_metrics_expose_per_shard_gauges():
             assert needle in text, f"missing {needle} in /metrics"
 
 
+def test_fleet_parent_holds_no_analysis_cache():
+    """Shards keep their own analysis caches; the parent's /stats and
+    /metrics show its result cache, queues and shards, and no
+    ``analysis_cache`` tier."""
+    with fleet_server() as srv:
+        assert srv.service.analysis_cache is None
+        request(srv, "/profile", {"model": "mobilenetv2-05", "wait": True})
+        status, stats = request(srv, "/stats")
+        url = f"http://127.0.0.1:{srv.port}/metrics"
+        with urllib.request.urlopen(url, timeout=30) as resp:
+            text = resp.read().decode("utf-8")
+    assert status == 200
+    assert sorted(stats) == ["cache", "counters", "gauges", "histograms",
+                             "queue", "shards", "workers"]
+    assert "analysis_cache" not in json.dumps(stats)
+    series = {line.split()[2] for line in text.splitlines()
+              if line.startswith("# TYPE ")}
+    assert series == {"jobs_submitted_total", "jobs_succeeded_total",
+                      "queue_depth", "service_seconds",
+                      "shard_0_queue_depth", "shard_0_utilization",
+                      "shard_1_queue_depth", "shard_1_utilization",
+                      "shard_utilization"}
+
+
 def test_fleet_busy_shard_returns_429_with_retry_after():
     with fleet_server(runner=_slow_fleet_runner, processes=1,
                       shard_queue_size=1) as srv:

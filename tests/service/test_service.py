@@ -45,7 +45,9 @@ def test_service_keeps_callers_empty_analysis_cache():
     with ProfilingService(workers=1, analysis_cache=cache) as service:
         assert service.analysis_cache is cache
         service.profile("mobilenetv2-05", batch_size=1)
-    assert cache.stats()["mapped"]["misses"] == 1
+        service.profile("mobilenetv2-05", batch_size=1, precision="fp32")
+    assert cache.stats()["structure"] == {"hits": 1, "misses": 1,
+                                          "evictions": 0}
     assert cache.stats()["shapes"]["misses"] == 1
 
 

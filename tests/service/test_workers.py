@@ -230,8 +230,9 @@ def test_analysis_cache_counters_cover_every_tier_once():
     with ProfilingService(workers=1) as service:
         _, before = exported(service.metrics_text())
         service.profile("mobilenetv2-05", batch_size=1)
+        service.profile("mobilenetv2-05", batch_size=1, precision="fp32")
         types, after = exported(service.metrics_text())
-    tiers = ("shapes", "arep", "mapped", "layer", "structure")
+    tiers = ("shapes", "arep", "layer", "structure")
     assert AnalysisCache.TIERS == tiers
     expected = set()
     for tier in tiers:
@@ -241,14 +242,16 @@ def test_analysis_cache_counters_cover_every_tier_once():
             assert base not in types
             expected.add(f"{base}_total")
     assert {n for n in types if n.startswith("analysis_cache_")} == expected
-    # the job looked up every tier, each of which a profile touches
+    # the jobs looked up every tier, each of which a profile touches
     for tier in tiers:
         lookups = [f"analysis_cache_{tier}_{kind}_total"
                    for kind in ("hits", "misses")]
         assert sum(after[n] for n in lookups) > \
             sum(before[n] for n in lookups), tier
-    assert after["analysis_cache_mapped_misses_total"] == \
-        before["analysis_cache_mapped_misses_total"] + 1
+    # the fp16 job built the donor; the fp32 sibling assembled from it
+    for kind in ("hits", "misses"):
+        name = f"analysis_cache_structure_{kind}_total"
+        assert after[name] == before[name] + 1, name
 
 
 # ----------------------------------------------------------------------

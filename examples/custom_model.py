@@ -10,7 +10,7 @@ Run:  python examples/custom_model.py
 import numpy as np
 
 from repro.core import Profiler, format_report
-from repro.ir import GraphBuilder, execute, load, save
+from repro.ir import Executor, GraphBuilder, load, save
 from repro.models.common import conv_bn_act, se_block
 
 # --- 1. define a small custom CNN with the builder -----------------------
@@ -28,7 +28,7 @@ graph = b.finish(logits)
 print(f"built {graph}")
 
 # --- 2. sanity-run it with the reference executor ------------------------
-out = execute(graph, {"image": np.random.default_rng(0).normal(
+out = Executor(graph).run({"image": np.random.default_rng(0).normal(
     size=(8, 3, 96, 96)).astype(np.float32)})
 print(f"executor output shape: {out[logits].shape}")
 

@@ -84,7 +84,6 @@ class Profiler:
         spec: Union[HardwareSpec, str],
         precision: Union[DataType, str] = DataType.FLOAT16,
         metric_source: str = MetricSource.PREDICTED,
-        counter_profiler: Optional[CounterProfiler] = None,
         analysis_cache: Union[AnalysisCache, bool, None] = True,
         tracer=None,
     ) -> None:
@@ -96,7 +95,7 @@ class Profiler:
         if metric_source not in (MetricSource.PREDICTED, MetricSource.MEASURED):
             raise ValueError(f"unknown metric source {metric_source!r}")
         self.metric_source = metric_source
-        self.counters = counter_profiler or CounterProfiler(self.spec)
+        self.counters = CounterProfiler(self.spec)
         #: memoizes shapes / AR / OAR+mapping across profile() calls;
         #: ``True`` (default) uses the process-wide shared cache,
         #: ``False``/``None`` reuses nothing across calls, an instance

@@ -17,9 +17,7 @@ this subsystem is that adaptation as a first-class profiling workload:
    classification (:class:`DistributionReport`);
 5. :mod:`~repro.distribution.charts` — timeline Gantt and device
    roofline SVG/HTML renderers for the data-viewer;
-6. :mod:`~repro.distribution.estimators` — the fast closed forms
-   (migrated from ``repro.core.distributed``, which remains as a
-   deprecated alias).
+6. :mod:`~repro.distribution.estimators` — the fast closed forms.
 
 Entry points: :func:`profile_partitioned` (one call from a
 single-device :class:`~repro.core.report.ProfileReport` to a

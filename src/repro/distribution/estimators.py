@@ -1,5 +1,4 @@
-"""Closed-form distributed-inference estimators (migrated from
-``repro.core.distributed``).
+"""Closed-form distributed-inference estimators.
 
 These are the fast analytical counterparts of the full partition +
 schedule simulation in :mod:`repro.distribution.partition` /

@@ -22,7 +22,7 @@ from typing import Dict
 import numpy as np
 
 from ..analysis.arep import AnalyzeRepresentation
-from ..ir.executor import execute
+from ..ir.executor import Executor
 from ..models.shufflenet import shufflenet_v2, shufflenet_v2_modified
 from .common import ExperimentMeta, markdown_table
 
@@ -66,9 +66,9 @@ def run() -> Fig7Result:
     # executable check on tiny variants (fast)
     feeds = {"input": np.random.default_rng(0).normal(
         size=(1, 3, 64, 64)).astype(np.float32)}
-    o = execute(shufflenet_v2(1.0, batch_size=1, image_size=64), feeds)
-    m = execute(shufflenet_v2_modified(1.0, batch_size=1, image_size=64),
-                feeds)
+    o = Executor(shufflenet_v2(1.0, batch_size=1, image_size=64)).run(feeds)
+    m = Executor(shufflenet_v2_modified(1.0, batch_size=1,
+                                        image_size=64)).run(feeds)
     ok = (next(iter(o.values())).shape == (1, 1000)
           and next(iter(m.values())).shape == (1, 1000)
           and np.isfinite(next(iter(m.values()))).all())

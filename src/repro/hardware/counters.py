@@ -36,6 +36,14 @@ from .specs import HardwareSpec
 
 __all__ = ["CounterMeasurement", "CounterProfiler", "NCU_HMMA_FIXED_FLOP"]
 
+#: replay cost of the simulated counter profiler: each kernel is
+#: replayed once per metric pass, paying a fixed setup cost per kernel
+#: and a flush overhead per replay (calibrated to Table 4's minutes-scale
+#: "Prof. time" column)
+REPLAY_PASSES = 12
+PER_KERNEL_FIXED_SECONDS = 4.0
+REPLAY_OVERHEAD_SECONDS = 0.03
+
 #: the FLOP/instruction constant the real NCU hard-codes for HMMA; only
 #: correct for Volta's HMMA.884.F32.F32 (see paper footnote 4)
 NCU_HMMA_FIXED_FLOP = 512
@@ -105,14 +113,8 @@ def _name_jitter(name: str, spread: float = 0.02) -> float:
 class CounterProfiler:
     """Per-layer hardware counter simulation for one platform."""
 
-    def __init__(self, spec: HardwareSpec,
-                 replay_passes: int = 12,
-                 per_kernel_fixed_seconds: float = 4.0,
-                 replay_overhead_seconds: float = 0.03) -> None:
+    def __init__(self, spec: HardwareSpec) -> None:
         self.spec = spec
-        self.replay_passes = replay_passes
-        self.per_kernel_fixed_seconds = per_kernel_fixed_seconds
-        self.replay_overhead_seconds = replay_overhead_seconds
 
     # ------------------------------------------------------------------
     # hardware FLOP
@@ -215,7 +217,7 @@ class CounterProfiler:
         """
         total = 0.0
         for meas, secs in zip(measurements, layer_seconds):
-            per_replay = secs + self.replay_overhead_seconds
+            per_replay = secs + REPLAY_OVERHEAD_SECONDS
             total += meas.kernel_count * (
-                self.per_kernel_fixed_seconds + self.replay_passes * per_replay)
+                PER_KERNEL_FIXED_SECONDS + REPLAY_PASSES * per_replay)
         return total

@@ -14,7 +14,7 @@ from .shape_inference import (
     infer_shapes,
     registered_ops,
 )
-from .executor import ExecutionError, Executor, execute, supported_ops
+from .executor import ExecutionError, Executor, supported_ops
 from .plan import ExecutionPlan, compile_plan
 from .passes import fold_shape_constants
 from .serialization import from_json, load, save, to_json
@@ -24,7 +24,7 @@ __all__ = [
     "DataType", "Initializer", "TensorInfo", "Node", "Graph", "GraphError",
     "GraphBuilder", "ShapeInferenceError", "broadcast_shapes",
     "conv_output_spatial", "infer_shapes", "registered_ops",
-    "ExecutionError", "Executor", "execute", "supported_ops",
+    "ExecutionError", "Executor", "supported_ops",
     "ExecutionPlan", "compile_plan", "fold_shape_constants",
     "from_json", "load", "save", "to_json",
     "array_digest", "graph_fingerprint", "report_digest",

@@ -20,7 +20,7 @@ from .node import Node
 from .shape_inference import _pool_output_size, _same_pads, _shape_slice_bounds
 from .tensor import DataType
 
-__all__ = ["execute", "ExecutionError", "Executor"]
+__all__ = ["ExecutionError", "Executor"]
 
 
 class ExecutionError(RuntimeError):
@@ -976,13 +976,6 @@ class Executor:
         if missing:
             raise ExecutionError(f"requested tensors never produced: {missing}")
         return {n: env[n] for n in names}
-
-
-def execute(graph: Graph, feeds: Dict[str, np.ndarray],
-            fetch: Optional[Sequence[str]] = None,
-            seed: int = 0) -> Dict[str, np.ndarray]:
-    """One-shot convenience wrapper around :class:`Executor`."""
-    return Executor(graph, seed=seed).run(feeds, fetch)
 
 
 def supported_ops() -> List[str]:

@@ -272,82 +272,6 @@ def fold_shape_constants(graph: Graph, in_place: bool = False,
     return g
 
 
-#: op types whose inputs get Q/DQ pairs under PTQ export
-_QUANTIZABLE = {"Conv", "MatMul", "Gemm"}
-
-
-def insert_qdq(graph: Graph, in_place: bool = False,
-               scale: float = 0.05) -> Graph:
-    """Insert QuantizeLinear/DequantizeLinear pairs around the weighted
-    ops, the way a post-training-quantization export does.
-
-    Every activation input of a Conv/MatMul/Gemm gets an explicit
-    ``x -> Q -> DQ -> op`` chain with a shared symmetric scale.  The
-    pattern is what int8-capable runtimes consume: they fold the Q/DQ
-    pairs into int8 kernels (see :func:`strip_qdq` for the simulation's
-    equivalent), while unquantized runtimes execute them as-is — the
-    reference executor really rounds through int8, so accuracy effects
-    are observable.
-    """
-    g = graph if in_place else graph.copy()
-    if not g.value_info:
-        infer_shapes(g)
-    counter = 0
-    new_nodes: List[Node] = []
-    scale_name = "qdq::scale"
-    zero_name = "qdq::zero_point"
-    g.add_initializer(Initializer(
-        TensorInfo(scale_name, (), DataType.FLOAT32),
-        np.asarray(scale, dtype=np.float32)))
-    g.add_initializer(Initializer(
-        TensorInfo(zero_name, (), DataType.INT8),
-        np.asarray(0, dtype=np.int8)))
-    for node in g.nodes:
-        if node.op_type in _QUANTIZABLE:
-            data_input = node.inputs[0]
-            if not g.is_initializer(data_input):
-                counter += 1
-                q_out = f"{data_input}::q{counter}"
-                dq_out = f"{data_input}::dq{counter}"
-                new_nodes.append(Node(
-                    "QuantizeLinear", [data_input, scale_name, zero_name],
-                    [q_out], name=f"QuantizeLinear_{counter}"))
-                new_nodes.append(Node(
-                    "DequantizeLinear", [q_out, scale_name, zero_name],
-                    [dq_out], name=f"DequantizeLinear_{counter}"))
-                node.inputs[0] = dq_out
-        new_nodes.append(node)
-    g.nodes = new_nodes
-    g.invalidate()
-    infer_shapes(g)
-    return g
-
-
-def strip_qdq(graph: Graph, in_place: bool = False) -> Graph:
-    """Remove Q/DQ pairs, wiring consumers back to the float tensor —
-    what an int8 runtime does when it replaces the pattern with int8
-    kernels (the compute then runs at the int8 peak, which the
-    backends model via ``precision=DataType.INT8``)."""
-    g = graph if in_place else graph.copy()
-    producers = g.producer_map()
-    doomed: List[Node] = []
-    for dq in list(g.nodes):
-        if dq.op_type != "DequantizeLinear":
-            continue
-        q = producers.get(dq.inputs[0])
-        if q is None or q.op_type != "QuantizeLinear":
-            continue
-        if dq.outputs[0] in g.output_names:
-            # stripping would rename a declared graph output; keep the pair
-            continue
-        source = q.inputs[0]
-        doomed.extend([q, dq])
-        _rename_consumers(g, dq.outputs[0], source)
-    g.remove_nodes(doomed)
-    infer_shapes(g)
-    return g
-
-
 #: ops whose epilogue can absorb fused activation/scalar tokens
 _EPILOGUE_HOSTS = ("Conv", "Gemm", "MatMul")
 

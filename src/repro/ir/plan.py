@@ -1,6 +1,6 @@
 """Compiled execution plans for the reference executor.
 
-:func:`repro.ir.executor.execute` resolves everything on every call:
+:meth:`repro.ir.executor.Executor.run` resolves everything on every call:
 it re-materializes weights, re-runs kernel dispatch, re-parses node
 attributes, re-resolves padding, and allocates fresh im2col / padding
 scratch for every convolution.  That is the right trade-off for a
@@ -37,7 +37,7 @@ Plans compile against a graph rewritten by the leveled optimization
 pipeline (:func:`repro.ir.passes.optimize_graph`):
 
 * ``optimize=0`` (default) — plan-time shape-constant folding only,
-  bit-identical to ``execute()``;
+  bit-identical to ``Executor.run()``;
 * ``optimize=1`` adds the bit-exact rewrites (conv/GEMM activation
   fusion, elementwise chain fusion, CSE, DCE) and the bit-exact fast
   paths — fused epilogues run inside the conv step, 1x1 convolutions
@@ -61,7 +61,7 @@ Every level runs the same steps through the same loop, so traced runs
 the level really runs, flush included.
 
 A level-0/1 plan's results are bit-identical to the legacy
-``execute()`` path: weights are the same seeded stream, and the
+``Executor.run()`` path: weights are the same seeded stream, and the
 specialised steps perform exactly the legacy arithmetic on reused
 scratch buffers.  Scratch buffers belong to the plan and are reused by
 every run, so a plan is for one thread at a time: each caller compiles
@@ -287,7 +287,6 @@ class ExecutionPlan:
                        for t in graph.inputs]
         #: scratch buffers reused by every run (one thread at a time)
         self._scratch: Dict[object, np.ndarray] = {}
-        self._run_count = 0
         self._protected = set(work.output_names)
         #: below O3 there is nothing to calibrate
         self._calibrated = self.optimize_level < 3
@@ -830,11 +829,9 @@ class ExecutionPlan:
         """Execute the plan; same contract as :meth:`Executor.run`.
 
         Feeds are checked against the declared input shapes and cast to
-        the declared dtypes.  Per-op spans are opt-in and sampled: the
-        current tracer must be enabled with ``plan_ops=True``, and only
-        every ``plan_op_sample``-th run of this plan is traced — replay
-        loops would otherwise drown the trace.  Untraced runs pay one
-        tracer lookup, nothing per step.  Traced and untraced runs
+        the declared dtypes.  Per-op spans are opt-in: the current
+        tracer must be enabled with ``plan_ops=True``.  Untraced runs
+        pay one tracer lookup, nothing per step.  Traced and untraced runs
         execute the same steps, so their outputs are bit-identical.
 
         Runs reuse the plan's scratch buffers, so one plan runs on one
@@ -842,13 +839,10 @@ class ExecutionPlan:
         no later run writes to it.
         """
         tracer = get_tracer()
-        self._run_count += 1
-        count = self._run_count
-        if not (tracer.enabled and tracer.plan_ops
-                and (count - 1) % tracer.plan_op_sample == 0):
+        if not (tracer.enabled and tracer.plan_ops):
             return self._run(feeds, fetch)
         with tracer.span("plan.run", graph=self.graph.name,
-                         steps=self.num_steps, run=count):
+                         steps=self.num_steps):
             return self._run(feeds, fetch, tracer)
 
     def _run(self, feeds, fetch, tracer=None):

@@ -121,18 +121,16 @@ class Tracer:
 
     ``max_spans`` bounds memory: the buffer keeps the most recent spans
     (a ring), which is what a long-running service wants.  ``plan_ops``
-    opts :meth:`repro.ir.plan.ExecutionPlan.run` into per-operator
-    spans; ``plan_op_sample=N`` traces every Nth run only, so heavy
-    replay loops don't drown the trace.
+    opts every :meth:`repro.ir.plan.ExecutionPlan.run` into per-operator
+    spans.
     """
 
     enabled = True
 
-    def __init__(self, max_spans: int = 100_000, plan_ops: bool = False,
-                 plan_op_sample: int = 1) -> None:
+    def __init__(self, max_spans: int = 100_000,
+                 plan_ops: bool = False) -> None:
         self.max_spans = max_spans
         self.plan_ops = plan_ops
-        self.plan_op_sample = max(1, plan_op_sample)
         self._epoch = time.perf_counter()
         #: wall-clock time of the tracer's t=0, for correlating traces
         self.epoch_wall = time.time()
@@ -259,7 +257,6 @@ class NoopTracer:
 
     enabled = False
     plan_ops = False
-    plan_op_sample = 1
 
     def span(self, name: str, parent: Optional[Span] = None,
              trace_id: Optional[TraceId] = None,

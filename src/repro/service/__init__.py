@@ -15,7 +15,7 @@ from ..obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from .queue import (Job, JobCancelledError, JobFailedError, JobQueue,
                     JobStatus, JobTimeoutError, QueueFullError)
 from .policy import SchedulingPolicy
-from .shard import ShardConfig, ShardHandle
+from .shard import ShardHandle
 from .workers import WorkerPool
 from .server import (ProfilingServer, ProfilingService,
                      ShardedProfilingService, default_runner, make_service)
@@ -27,7 +27,7 @@ __all__ = [
     "Counter", "Gauge", "Histogram", "MetricsRegistry",
     "Job", "JobCancelledError", "JobFailedError", "JobQueue", "JobStatus",
     "JobTimeoutError", "QueueFullError",
-    "SchedulingPolicy", "ShardConfig", "ShardHandle",
+    "SchedulingPolicy", "ShardHandle",
     "WorkerPool",
     "ProfilingServer", "ProfilingService", "ShardedProfilingService",
     "default_runner", "make_service",

@@ -26,7 +26,12 @@ from typing import Any, Dict, Optional, Tuple
 
 from ..core.report import ProfileReport
 
-__all__ = ["CacheStats", "ResultCache"]
+__all__ = ["CacheStats", "NEGATIVE_TTL_SECONDS", "ResultCache"]
+
+#: how long a fatal failure short-circuits identical requests: a fatal
+#: error is deterministic for one fingerprint, and the bound limits
+#: staleness across deploys that teach the profiler new ops
+NEGATIVE_TTL_SECONDS = 300.0
 
 
 @dataclass
@@ -70,15 +75,11 @@ class ResultCache:
     """Thread-safe LRU keyed by request fingerprint."""
 
     def __init__(self, max_bytes: int = 64 << 20, max_entries: int = 512,
-                 disk_dir: Optional[str] = None,
-                 negative_ttl: float = 300.0) -> None:
+                 disk_dir: Optional[str] = None) -> None:
         if max_bytes <= 0 or max_entries <= 0:
             raise ValueError("cache bounds must be positive")
         self.max_bytes = int(max_bytes)
         self.max_entries = int(max_entries)
-        #: how long a fatal failure short-circuits identical requests;
-        #: <= 0 disables the negative tier entirely
-        self.negative_ttl = float(negative_ttl)
         self.disk_dir = disk_dir
         if disk_dir:
             os.makedirs(disk_dir, exist_ok=True)
@@ -132,17 +133,12 @@ class ResultCache:
     def put_failure(self, key: str, error: BaseException) -> None:
         """Record a fatal failure so identical requests short-circuit.
 
-        Entries expire after ``negative_ttl`` seconds — a fatal error
-        (unsupported model, bad config) is deterministic for the same
-        fingerprint, but the TTL bounds staleness across deploys that
-        teach the profiler new ops.
+        Entries expire after :data:`NEGATIVE_TTL_SECONDS`.
         """
-        if self.negative_ttl <= 0:
-            return
         with self._lock:
             self._negative.pop(key, None)
             self._negative[key] = (type(error).__name__, str(error),
-                                   time.monotonic() + self.negative_ttl)
+                                   time.monotonic() + NEGATIVE_TTL_SECONDS)
             while len(self._negative) > self.max_entries:
                 self._negative.popitem(last=False)
 

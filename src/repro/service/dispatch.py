@@ -6,10 +6,11 @@ short-circuits, single-flight dedup, the retry budget and completion):
 it fronts N shard *processes* (:mod:`repro.service.shard`) instead of
 N threads, so GIL-holding numpy kernels actually run in parallel.
 
-* **Consistent hashing by graph** — a :class:`HashRing` with virtual
-  nodes maps the *graph* fingerprint of every request onto exactly one
-  shard.  Every configuration of one graph (each precision, backend
-  and platform) lands on the same process, so that shard's private
+* **Consistent hashing by graph** — a :class:`HashRing` with
+  :data:`REPLICAS` virtual nodes per shard maps the *graph*
+  fingerprint of every request onto exactly one shard.  Every
+  configuration of one graph (each precision, backend and platform)
+  lands on the same process, so that shard's private
   :class:`~repro.analysis.cache.AnalysisCache` builds the graph's
   shapes, AR and fusion structure once and re-times the siblings from
   its layer records, as the thread tier's shared cache does.  A
@@ -27,8 +28,9 @@ N threads, so GIL-holding numpy kernels actually run in parallel.
   HTTP layer surfaces as ``429`` + ``Retry-After``.
 * **Reply-driven retries** — a transient failure backs off on the
   shard's reader thread and requeues the job at the head of its shard.
-* **Supervision** — a supervisor thread respawns crashed shard
-  processes and drains their queued jobs back for re-dispatch; the one
+* **Supervision** — a supervisor thread, waking every
+  :data:`SUPERVISOR_POLL_SECONDS`, respawns crashed shard processes
+  and drains their queued jobs back for re-dispatch; the one
   interrupted job counts a :class:`WorkerCrashError` attempt against
   its retry budget (a crashing request must not crash-loop the shard
   forever).  Per-attempt timeouts are enforced by killing the wedged
@@ -39,17 +41,22 @@ from __future__ import annotations
 import bisect
 import hashlib
 import threading
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple, Type
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
-from ..backends.base import UnsupportedModelError
 from ..obs.metrics import MetricsRegistry
 from .cache import ResultCache
 from .fingerprint import ProfileRequest
 from .policy import SchedulingPolicy
 from .queue import Job, JobTimeoutError
-from .shard import ShardConfig, ShardHandle, fleet_context
+from .shard import ShardHandle
 
 __all__ = ["HashRing", "Dispatcher", "ShardBusyError", "WorkerCrashError"]
+
+#: virtual nodes per shard on the hash ring
+REPLICAS = 64
+
+#: how often the supervisor looks for dead shard processes
+SUPERVISOR_POLL_SECONDS = 0.1
 
 
 class ShardBusyError(RuntimeError):
@@ -72,17 +79,14 @@ class WorkerCrashError(RuntimeError):
 class HashRing:
     """Consistent-hash ring with virtual nodes.
 
-    Each shard is hashed onto the ring ``replicas`` times; a key is
+    Each shard is hashed onto the ring :data:`REPLICAS` times; a key is
     owned by the first virtual node clockwise from its own hash.  The
     map is a total function (every key has exactly one owner), and
     removing a shard only moves the keys that shard owned — the
     property the shard-rebalance tests pin down.
     """
 
-    def __init__(self, shard_ids: Iterable[int], replicas: int = 64) -> None:
-        if replicas <= 0:
-            raise ValueError("need at least one virtual node per shard")
-        self.replicas = replicas
+    def __init__(self, shard_ids: Iterable[int]) -> None:
         self._points: List[int] = []
         self._owners: List[int] = []
         self._ids: List[int] = []
@@ -99,7 +103,7 @@ class HashRing:
     def _rebuild(self, ids: List[int]) -> None:
         nodes = sorted(
             (self._hash(f"shard-{shard_id}#{replica}"), shard_id)
-            for shard_id in ids for replica in range(self.replicas))
+            for shard_id in ids for replica in range(REPLICAS))
         self._points = [point for point, _ in nodes]
         self._owners = [owner for _, owner in nodes]
         self._ids = sorted(ids)
@@ -148,31 +152,19 @@ class Dispatcher(SchedulingPolicy):
         metrics: Optional[MetricsRegistry] = None,
         processes: int = 2,
         shard_queue_size: int = 16,
-        backoff_seconds: float = 0.05,
-        fatal_exceptions: Tuple[Type[BaseException], ...] =
-            (UnsupportedModelError,),
-        shard_config: Optional[ShardConfig] = None,
-        replicas: int = 64,
-        supervisor_poll_seconds: float = 0.1,
         tracer=None,
     ) -> None:
         if processes <= 0:
             raise ValueError("need at least one shard process")
-        super().__init__(cache=cache, metrics=metrics,
-                         backoff_seconds=backoff_seconds,
-                         fatal_exceptions=fatal_exceptions, tracer=tracer)
-        self._supervisor_poll = supervisor_poll_seconds
+        super().__init__(cache=cache, metrics=metrics, tracer=tracer)
         self._supervisor: Optional[threading.Thread] = None
         self._running = False
-        ctx = fleet_context()
-        config = shard_config or ShardConfig(
-            fatal_exceptions=fatal_exceptions)
-        self.ring = HashRing(range(processes), replicas=replicas)
+        self.ring = HashRing(range(processes))
         self.shards: Dict[int, ShardHandle] = {
             shard_id: ShardHandle(
                 shard_id, on_reply=self._on_reply,
                 on_cancel=self._cancelled, runner=runner,
-                config=config, queue_size=shard_queue_size, ctx=ctx)
+                queue_size=shard_queue_size)
             for shard_id in range(processes)
         }
         for shard_id, handle in self.shards.items():
@@ -283,7 +275,7 @@ class Dispatcher(SchedulingPolicy):
 
     # -- supervision ---------------------------------------------------
     def _supervise(self) -> None:
-        while not self._stop_event.wait(self._supervisor_poll):
+        while not self._stop_event.wait(SUPERVISOR_POLL_SECONDS):
             for handle in self.shards.values():
                 if handle.needs_respawn():
                     self._respawn(handle)

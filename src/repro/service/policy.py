@@ -9,8 +9,10 @@ priority queue) and :class:`~repro.service.dispatch.Dispatcher` (shard
 processes behind a hash ring) — so each rule is written once and a fix
 to one tier fixes both.  Completion publishes a result to the cache
 before it unregisters the leader, so a follower finds either the
-leader in flight or the result cached, never neither.  See
-docs/SERVICE.md.
+leader in flight or the result cached, never neither.  The policy's
+two parameters are constants: :data:`FATAL_ERRORS`, the errors that
+are never retried and are negative-cached, and :data:`BACKOFF_SECONDS`,
+the first retry's wait.  See docs/SERVICE.md.
 """
 from __future__ import annotations
 
@@ -18,14 +20,22 @@ import logging
 import threading
 from typing import Any, Dict, Optional, Tuple, Type
 
+from ..backends.base import UnsupportedModelError
 from ..obs.metrics import MetricsRegistry
 from ..obs.trace import get_tracer
 from .cache import ResultCache
 from .queue import Job
 
-__all__ = ["SchedulingPolicy"]
+__all__ = ["BACKOFF_SECONDS", "FATAL_ERRORS", "SchedulingPolicy"]
 
 log = logging.getLogger(__name__)
+
+#: errors that are deterministic for a request: no retry, negative-
+#: cached, and rebuilt as their own type when revived from a record
+FATAL_ERRORS: Tuple[Type[BaseException], ...] = (UnsupportedModelError,)
+
+#: first retry's backoff; each later retry doubles it
+BACKOFF_SECONDS = 0.05
 
 
 class SchedulingPolicy:
@@ -39,15 +49,11 @@ class SchedulingPolicy:
 
     def __init__(self, *, cache: ResultCache,
                  metrics: Optional[MetricsRegistry],
-                 backoff_seconds: float,
-                 fatal_exceptions: Tuple[Type[BaseException], ...],
                  tracer) -> None:
         #: pinned tracer (the owning service's); None uses the global one
         self.tracer = tracer
         self._cache = cache
         self.metrics = metrics or MetricsRegistry()
-        self._backoff = backoff_seconds
-        self._fatal = fatal_exceptions
         self._inflight: Dict[str, Job] = {}
         self._inflight_lock = threading.Lock()
         #: set on shutdown so retry backoffs wake immediately instead
@@ -136,7 +142,7 @@ class SchedulingPolicy:
             return False
         self.metrics.counter("jobs.retries").inc()
         return not self._stop_event.wait(
-            self._backoff * (2 ** (job.attempts - 1)))
+            BACKOFF_SECONDS * (2 ** (job.attempts - 1)))
 
     # -- completion ----------------------------------------------------
     def _succeed(self, job: Job, report: Any,
@@ -175,10 +181,10 @@ class SchedulingPolicy:
     def _revive_error(self, type_name: str, message: str) -> BaseException:
         """Rebuild an error from its ``(type name, message)`` record.
 
-        A type among the fatal exception classes round-trips exactly;
-        any other becomes a RuntimeError carrying the original text.
+        A type among :data:`FATAL_ERRORS` round-trips exactly; any
+        other becomes a RuntimeError carrying the original text.
         """
-        for cls in self._fatal:
+        for cls in FATAL_ERRORS:
             if cls.__name__ == type_name:
                 return cls(message)
         return RuntimeError(f"{type_name}: {message}")

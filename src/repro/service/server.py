@@ -37,6 +37,14 @@ same facade; :func:`make_service` picks the tier from a process count.
 Either way the service's own :class:`ResultCache` (with ``cache_dir``,
 its disk tier too) is the only result cache: fleet shards route both
 request forms by graph fingerprint and keep only analysis caches.
+
+The constructors take deployment settings only: worker or process
+counts, queue and cache bounds, ``cache_dir``, the ``runner`` and the
+``tracer``.  A request's ``timeout`` and ``max_retries`` travel with
+it (``submit()`` or the HTTP body); the rest are module constants —
+:data:`DEFAULT_MAX_RETRIES` and :data:`MAX_TRACKED_JOBS` here, the
+retry backoff and fatal error types in :mod:`repro.service.policy`, the
+negative-cache TTL in :mod:`repro.service.cache`.
 """
 from __future__ import annotations
 
@@ -70,6 +78,12 @@ __all__ = ["ProfilingService", "ShardedProfilingService",
            "ProfilingServer", "default_runner", "make_service"]
 
 log = logging.getLogger(__name__)
+
+#: retries a request gets when ``submit()`` is given no ``max_retries``
+DEFAULT_MAX_RETRIES = 2
+
+#: finished jobs kept for ``job()`` / ``GET /job/<id>``; the oldest go
+MAX_TRACKED_JOBS = 4096
 
 
 def default_runner(request: ProfileRequest,
@@ -108,20 +122,13 @@ class ProfilingService:
         cache_bytes: int = 64 << 20,
         cache_entries: int = 512,
         cache_dir: Optional[str] = None,
-        negative_ttl: float = 300.0,
-        max_retries: int = 2,
-        backoff_seconds: float = 0.05,
-        default_timeout: Optional[float] = None,
         runner=None,
-        max_tracked_jobs: int = 4096,
-        analysis_cache: Optional[AnalysisCache] = None,
         tracer: Optional[Tracer] = None,
     ) -> None:
         self.metrics = MetricsRegistry()
         self.cache = ResultCache(max_bytes=cache_bytes,
                                  max_entries=cache_entries,
-                                 disk_dir=cache_dir,
-                                 negative_ttl=negative_ttl)
+                                 disk_dir=cache_dir)
         #: service-wide span collector behind ``/trace/<job>``: a
         #: bounded ring, always on — per-job span overhead is a few µs
         #: against multi-ms profiling jobs
@@ -129,14 +136,11 @@ class ProfilingService:
             max_spans=50_000)
         #: per-service structural memo shared by all worker threads;
         #: sits below the report cache — see docs/PERF.md.  The thread
-        #: tier builds one when none is given; the fleet's shards keep
-        #: their own, so the fleet parent holds none
-        self.analysis_cache = analysis_cache
-        self.default_max_retries = max_retries
-        self.default_timeout = default_timeout
+        #: tier builds its own; the fleet's shards keep theirs, so the
+        #: fleet parent holds none
+        self.analysis_cache: Optional[AnalysisCache] = None
         self._jobs: Dict[str, Job] = {}
         self._jobs_lock = threading.Lock()
-        self._max_tracked = max_tracked_jobs
         self._ids = iter(range(1, 1 << 62))
         #: (model key, batch) -> :class:`GraphRef`.  Zoo builders are
         #: deterministic, so the first named request for a (model,
@@ -147,14 +151,11 @@ class ProfilingService:
         self._graph_refs: Dict[tuple, GraphRef] = {}
         self._graph_refs_lock = threading.Lock()
         self._scheduler = self._make_scheduler(
-            runner, workers=workers, queue_size=queue_size,
-            backoff_seconds=backoff_seconds)
+            runner, workers=workers, queue_size=queue_size)
 
-    def _make_scheduler(self, runner, *, workers: int, queue_size: int,
-                        backoff_seconds: float):
+    def _make_scheduler(self, runner, *, workers: int, queue_size: int):
         """The thread tier: one priority queue drained by a pool."""
-        if self.analysis_cache is None:
-            self.analysis_cache = AnalysisCache(metrics=self.metrics)
+        self.analysis_cache = AnalysisCache(metrics=self.metrics)
         if runner is None:
             runner = lambda request: default_runner(  # noqa: E731
                 request, analysis_cache=self.analysis_cache,
@@ -164,7 +165,6 @@ class ProfilingService:
         self.pool = WorkerPool(runner, queue=self.queue,
                                cache=self.cache, metrics=self.metrics,
                                num_workers=workers,
-                               backoff_seconds=backoff_seconds,
                                analysis_cache=self.analysis_cache,
                                tracer=self.tracer)
         return self.pool
@@ -236,9 +236,8 @@ class ProfilingService:
             key=key,
             request=request,
             priority=priority,
-            timeout_seconds=self.default_timeout if timeout is None
-            else timeout,
-            max_retries=self.default_max_retries if max_retries is None
+            timeout_seconds=timeout,
+            max_retries=DEFAULT_MAX_RETRIES if max_retries is None
             else max_retries,
             summary=request.summary(),
         )
@@ -308,7 +307,7 @@ class ProfilingService:
     def _track(self, job: Job) -> None:
         with self._jobs_lock:
             self._jobs[job.id] = job
-            while len(self._jobs) > self._max_tracked:
+            while len(self._jobs) > MAX_TRACKED_JOBS:
                 self._jobs.pop(next(iter(self._jobs)))
 
 
@@ -347,30 +346,21 @@ class ShardedProfilingService(ProfilingService):
         cache_bytes: int = 64 << 20,
         cache_entries: int = 512,
         cache_dir: Optional[str] = None,
-        negative_ttl: float = 300.0,
-        max_retries: int = 2,
-        backoff_seconds: float = 0.05,
-        default_timeout: Optional[float] = None,
         runner=None,
-        max_tracked_jobs: int = 4096,
         tracer: Optional[Tracer] = None,
     ) -> None:
         self.processes = processes
         super().__init__(workers=processes, queue_size=shard_queue_size,
                          cache_bytes=cache_bytes,
                          cache_entries=cache_entries, cache_dir=cache_dir,
-                         negative_ttl=negative_ttl, max_retries=max_retries,
-                         backoff_seconds=backoff_seconds,
-                         default_timeout=default_timeout, runner=runner,
-                         max_tracked_jobs=max_tracked_jobs, tracer=tracer)
+                         runner=runner, tracer=tracer)
 
-    def _make_scheduler(self, runner, *, workers: int, queue_size: int,
-                        backoff_seconds: float):
+    def _make_scheduler(self, runner, *, workers: int, queue_size: int):
         """The fleet: ``workers`` shard processes behind a hash ring."""
         self.dispatcher = Dispatcher(
             runner, cache=self.cache, metrics=self.metrics,
             processes=workers, shard_queue_size=queue_size,
-            backoff_seconds=backoff_seconds, tracer=self.tracer)
+            tracer=self.tracer)
         return self.dispatcher
 
 

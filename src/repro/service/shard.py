@@ -18,7 +18,9 @@ Two halves live here:
   shard's private analysis cache (or rebuild the zoo graph when the
   cache no longer holds it, as after a respawn), run the runner (a
   fresh profiler around that cache by default), reply with the result
-  or a typed error.  A failed resolve is an ordinary attempt failure.
+  or a typed error, flagged fatal when it is one of
+  :data:`~repro.service.policy.FATAL_ERRORS`.  A failed resolve is an
+  ordinary attempt failure.
 * :class:`ShardHandle` — the parent-side proxy: a bounded waiting
   queue with load-shedding, exactly one task outstanding in the child
   at a time, a reader thread that completes jobs, per-attempt timeout
@@ -38,17 +40,20 @@ import signal
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Any, Callable, Deque, List, Optional, Tuple, Type
+from typing import Any, Callable, Deque, List, Optional, Tuple
 
-from ..backends.base import UnsupportedModelError
 from .fingerprint import resolve_request
+from .policy import FATAL_ERRORS
 from .queue import Job, JobStatus
 
-__all__ = ["ShardConfig", "ShardHandle", "shard_main", "fleet_context"]
+__all__ = ["ShardHandle", "shard_main", "fleet_context"]
 
 #: reader threads poll at this period so stop() is prompt
 _POLL_SECONDS = 0.2
+
+#: service time (seconds) a fresh shard assumes until its first reply
+#: seeds the EWMA behind Retry-After
+INITIAL_SERVICE_ESTIMATE = 0.1
 
 
 def fleet_context() -> multiprocessing.context.BaseContext:
@@ -63,14 +68,6 @@ def fleet_context() -> multiprocessing.context.BaseContext:
     if "fork" in multiprocessing.get_all_start_methods():
         return multiprocessing.get_context("fork")
     return multiprocessing.get_context()
-
-
-@dataclass
-class ShardConfig:
-    """Per-shard knobs, shipped to the child process once at spawn."""
-
-    fatal_exceptions: Tuple[Type[BaseException], ...] = field(
-        default=(UnsupportedModelError,))
 
 
 def _default_shard_runner(analysis_cache) -> Callable[[Any], Any]:
@@ -90,8 +87,7 @@ def _default_shard_runner(analysis_cache) -> Callable[[Any], Any]:
     return run
 
 
-def shard_main(conn, runner: Optional[Callable[[Any], Any]],
-               config: ShardConfig) -> None:
+def shard_main(conn, runner: Optional[Callable[[Any], Any]]) -> None:
     """Child-process loop: tasks in, results out, until EOF or stop."""
     try:
         # a foreground Ctrl-C hits the whole process group; shutdown is
@@ -123,7 +119,7 @@ def shard_main(conn, runner: Optional[Callable[[Any], Any]],
         except BaseException as exc:  # noqa: BLE001 - reported to parent
             ok = False
             error = (type(exc).__name__, str(exc),
-                     isinstance(exc, config.fatal_exceptions))
+                     isinstance(exc, FATAL_ERRORS))
         # wall time drives utilization + Retry-After ETAs; CPU time is
         # contention-free (scheduling on a busy host never inflates
         # it), so it feeds scaling models
@@ -160,10 +156,7 @@ class ShardHandle:
                  on_reply: Callable[["ShardHandle", Job, dict], None],
                  on_cancel: Callable[[Job], None],
                  runner: Optional[Callable[[Any], Any]] = None,
-                 config: Optional[ShardConfig] = None,
-                 queue_size: int = 16,
-                 initial_service_estimate: float = 0.1,
-                 ctx=None) -> None:
+                 queue_size: int = 16) -> None:
         if queue_size <= 0:
             raise ValueError("shard queue size must be positive")
         self.shard_id = shard_id
@@ -171,8 +164,6 @@ class ShardHandle:
         self._on_reply = on_reply
         self._on_cancel = on_cancel
         self._runner = runner
-        self._config = config or ShardConfig()
-        self._ctx = ctx or fleet_context()
         self._lock = threading.Lock()
         self._waiting: Deque[Job] = deque()
         self._current: Optional[Job] = None
@@ -192,14 +183,15 @@ class ShardHandle:
         self.respawns = 0
         self.cancelled_dropped = 0
         #: EWMA of observed service time, seeds the Retry-After estimate
-        self.ewma_service_seconds = float(initial_service_estimate)
+        self.ewma_service_seconds = INITIAL_SERVICE_ESTIMATE
 
     # -- lifecycle -----------------------------------------------------
     def start(self) -> None:
-        parent_conn, child_conn = self._ctx.Pipe(duplex=True)
-        proc = self._ctx.Process(
+        ctx = fleet_context()
+        parent_conn, child_conn = ctx.Pipe(duplex=True)
+        proc = ctx.Process(
             target=shard_main,
-            args=(child_conn, self._runner, self._config),
+            args=(child_conn, self._runner),
             name=f"proof-shard-{self.shard_id}", daemon=True)
         proc.start()
         child_conn.close()

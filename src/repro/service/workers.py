@@ -23,14 +23,13 @@ from __future__ import annotations
 
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from typing import Any, Callable, Dict, Optional, Tuple, Type
+from typing import Any, Callable, Dict, Optional
 
 from ..analysis.cache import AnalysisCache
-from ..backends.base import UnsupportedModelError
 from ..obs.metrics import MetricsRegistry
 from .cache import ResultCache
 from .fingerprint import ProfileRequest, resolve_request
-from .policy import SchedulingPolicy
+from .policy import FATAL_ERRORS, SchedulingPolicy
 from .queue import Job, JobQueue, JobTimeoutError, QueueFullError
 
 __all__ = ["WorkerPool"]
@@ -52,17 +51,12 @@ class WorkerPool(SchedulingPolicy):
         cache: ResultCache,
         metrics: Optional[MetricsRegistry] = None,
         num_workers: int = 4,
-        backoff_seconds: float = 0.05,
-        fatal_exceptions: Tuple[Type[BaseException], ...] =
-            (UnsupportedModelError,),
         analysis_cache: Optional[AnalysisCache] = None,
         tracer=None,
     ) -> None:
         if num_workers <= 0:
             raise ValueError("need at least one worker")
-        super().__init__(cache=cache, metrics=metrics,
-                         backoff_seconds=backoff_seconds,
-                         fatal_exceptions=fatal_exceptions, tracer=tracer)
+        super().__init__(cache=cache, metrics=metrics, tracer=tracer)
         self._runner = runner
         self._queue = queue
         #: structural tier below the report cache — report-cache misses
@@ -151,7 +145,7 @@ class WorkerPool(SchedulingPolicy):
                     error = None
                     break
                 except Exception as exc:
-                    error, fatal = exc, isinstance(exc, self._fatal)
+                    error, fatal = exc, isinstance(exc, FATAL_ERRORS)
                     if fatal or not self._retry(job):
                         break
             exec_span.set("attempts", job.attempts)

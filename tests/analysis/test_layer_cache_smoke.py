@@ -5,8 +5,7 @@ re-read more than 80% of its layer records, and a five-precision sweep
 must compile and map once.  Shared records may change *when* numbers
 are computed, never *what* they are: store-warm and assembled profiles
 are ``report_digest``-identical to cold ones.  The checks count, they
-do not time, so they hold on shared runners.  CI runs this file as one
-step.
+do not time, so they hold on shared runners.
 """
 import pytest
 

@@ -126,8 +126,8 @@ def test_every_graph_node_attributed_once_trt(graph):
 def test_random_graphs_also_execute(graph):
     """The generated graphs are real models: the reference executor
     runs them and produces finite logits."""
-    from repro.ir.executor import execute
-    out = execute(graph, {"x": np.random.default_rng(0).normal(
+    from repro.ir.executor import Executor
+    out = Executor(graph).run({"x": np.random.default_rng(0).normal(
         size=(2, 3, 16, 16)).astype(np.float32)})
     logits = next(iter(out.values()))
     assert logits.shape == (2, 10)

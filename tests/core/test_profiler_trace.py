@@ -138,14 +138,3 @@ def test_plan_op_spans_require_the_flag():
     for key in baseline:
         assert baseline[key].tobytes() == plain[key].tobytes()
         assert baseline[key].tobytes() == traced[key].tobytes()
-
-
-def test_plan_op_sampling_traces_every_nth_run():
-    graph = _tiny_graph()
-    feeds = _feeds(graph)
-    with use_tracer(Tracer(plan_ops=True, plan_op_sample=3)) as tracer:
-        plan = ExecutionPlan(graph)
-        for _ in range(6):
-            plan.run(feeds)
-    runs = [s for s in tracer.spans() if s.name == "plan.run"]
-    assert [s.attributes["run"] for s in runs] == [1, 4]

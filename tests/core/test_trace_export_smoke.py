@@ -1,4 +1,5 @@
-"""``proof run --trace`` writes a valid Chrome trace-event array.
+"""``proof run --trace`` writes a valid Chrome trace-event array,
+compile and mapping spans included.
 
 The CLI runs in a fresh interpreter, so the process-wide analysis
 cache is cold and the ``compile`` and ``mapping`` spans are always

@@ -1,4 +1,9 @@
-"""CLI tests for the ``proof partition`` subcommand."""
+"""CLI tests for the ``proof partition`` subcommand.
+
+``test_partition_pipeline_json_report`` is the smoke check: ``proof
+partition`` must emit a valid ``DistributionReport`` with sane aggregate
+numbers.  See docs/DISTRIBUTION.md.
+"""
 import json
 
 import pytest

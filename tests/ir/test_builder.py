@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from repro.ir.builder import GraphBuilder
-from repro.ir.executor import execute
+from repro.ir.executor import Executor
 from repro.ir.shape_inference import ShapeInferenceError
 from repro.ir.tensor import DataType
 
@@ -65,7 +65,7 @@ def test_relu6_is_clip_with_bounds():
     x = b.input("x", (4,))
     y = b.relu6(x)
     g = b.finish(y)
-    out = execute(g, {"x": np.asarray([-1, 3, 7, 6], np.float32)})[y]
+    out = Executor(g).run({"x": np.asarray([-1, 3, 7, 6], np.float32)})[y]
     np.testing.assert_array_equal(out, [0, 3, 6, 6])
 
 
@@ -75,7 +75,7 @@ def test_silu_matches_definition():
     y = b.silu(x)
     g = b.finish(y)
     v = np.linspace(-2, 2, 5).astype(np.float32)
-    out = execute(g, {"x": v})[y]
+    out = Executor(g).run({"x": v})[y]
     np.testing.assert_allclose(out, v / (1 + np.exp(-v)), rtol=1e-5)
 
 
@@ -86,7 +86,7 @@ def test_gelu_decomposed_matches_reference():
     g = b.finish(y)
     assert g.op_type_histogram().get("Erf") == 1   # exported as Erf chain
     v = np.linspace(-3, 3, 7).astype(np.float32)
-    out = execute(g, {"x": v})[y]
+    out = Executor(g).run({"x": v})[y]
     from math import erf, sqrt
     want = np.asarray([0.5 * t * (1 + erf(t / sqrt(2))) for t in v],
                       np.float32)
@@ -122,7 +122,7 @@ def test_reshape_transposes_composition():
     y = b.reshape(y, (2, 24))
     g = b.finish(y)
     v = np.arange(48, dtype=np.float32).reshape(2, 4, 6)
-    out = execute(g, {"x": v})[y]
+    out = Executor(g).run({"x": v})[y]
     np.testing.assert_array_equal(out, v.transpose(0, 2, 1).reshape(2, 24))
 
 

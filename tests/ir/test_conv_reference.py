@@ -9,7 +9,7 @@ shows up here as a byte mismatch on the second run).
 import numpy as np
 import pytest
 
-from repro.ir.executor import execute
+from repro.ir.executor import Executor
 from repro.ir.graph import Graph
 from repro.ir.node import Node
 from repro.ir.plan import compile_plan
@@ -118,7 +118,7 @@ def test_executor_matches_direct_reference(x_shape, w_shape, attrs, bias):
         x_shape, w_shape, attrs, bias)
     expected = direct_conv(x, w, b, strides, pads, dil, group)
     g = conv_graph(x, w, b, attrs)
-    got = execute(g, {"x": x})["y"]
+    got = Executor(g).run({"x": x})["y"]
     assert got.shape == expected.shape
     np.testing.assert_allclose(got, expected, rtol=2e-5, atol=2e-5)
 
@@ -128,7 +128,7 @@ def test_plan_bit_identical_to_legacy(x_shape, w_shape, attrs, bias):
     x, w, b, strides, pads, dil, group = _resolve_case(
         x_shape, w_shape, attrs, bias)
     g = conv_graph(x, w, b, attrs)
-    legacy = execute(g, {"x": x})["y"]
+    legacy = Executor(g).run({"x": x})["y"]
     plan = compile_plan(g)
     for _ in range(3):  # repeats catch stale scratch-arena state
         got = plan.run({"x": x})["y"]
@@ -149,4 +149,4 @@ def test_plan_bit_identical_with_changing_inputs():
     for _ in range(4):
         x = rng.standard_normal(x_shape).astype(np.float32)
         assert plan.run({"x": x})["y"].tobytes() == \
-            execute(g, {"x": x})["y"].tobytes()
+            Executor(g).run({"x": x})["y"].tobytes()

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.ir.builder import GraphBuilder
-from repro.ir.executor import ExecutionError, Executor, execute
+from repro.ir.executor import ExecutionError, Executor
 from repro.ir.graph import Graph
 from repro.ir.node import Node
 from repro.ir.tensor import DataType, Initializer, TensorInfo
@@ -27,7 +27,8 @@ def run_single(op_type, feeds, attrs=None, inits=(), input_order=None,
     outs = [f"o{i}" for i in range(n_outputs)]
     g.add_node(Node(op_type, names, outs, attrs=attrs or {}))
     g.outputs = [TensorInfo(o, (1,)) for o in outs]
-    res = execute(g, {k: np.asarray(v) for k, v in feeds.items()}, fetch=outs)
+    res = Executor(g).run({k: np.asarray(v) for k, v in feeds.items()},
+                          fetch=outs)
     vals = [res[o] for o in outs]
     return vals[0] if n_outputs == 1 else vals
 
@@ -282,21 +283,21 @@ class TestDriver:
         y = b.relu(x)
         g = b.finish(y)
         with pytest.raises(ExecutionError, match="missing feed"):
-            execute(g, {})
+            Executor(g).run({})
 
     def test_wrong_feed_shape(self):
         b = GraphBuilder("g")
         x = b.input("x", (2,))
         g = b.finish(b.relu(x))
         with pytest.raises(ExecutionError, match="shape"):
-            execute(g, {"x": np.zeros(3, np.float32)})
+            Executor(g).run({"x": np.zeros(3, np.float32)})
 
     def test_unknown_op(self):
         g = Graph("g", inputs=[TensorInfo("x", (1,))],
                   outputs=[TensorInfo("y", (1,))])
         g.add_node(Node("NoSuchOp", ["x"], ["y"]))
         with pytest.raises(ExecutionError, match="no executor"):
-            execute(g, {"x": np.zeros(1, np.float32)})
+            Executor(g).run({"x": np.zeros(1, np.float32)})
 
     def test_weights_cached_across_runs(self):
         b = GraphBuilder("g")
@@ -314,6 +315,6 @@ class TestDriver:
         r = b.relu(x)
         y = b.node("Neg", [r])
         g = b.finish(y)
-        res = execute(g, {"x": np.asarray([-1, 1, -2, 2], np.float32)},
-                      fetch=[r])
+        res = Executor(g).run({"x": np.asarray([-1, 1, -2, 2], np.float32)},
+                              fetch=[r])
         np.testing.assert_array_equal(res[r], [0, 1, 0, 2])

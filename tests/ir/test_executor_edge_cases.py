@@ -8,7 +8,7 @@ import math
 import numpy as np
 import pytest
 
-from repro.ir.executor import execute
+from repro.ir.executor import Executor
 from repro.ir.graph import Graph
 from repro.ir.node import Node
 from repro.ir.shape_inference import infer_shapes
@@ -28,7 +28,7 @@ def make_graph(shape, nodes, inits=(), dtype=DataType.FLOAT32):
 def run_one(shape, nodes, feed, inits=()):
     g = make_graph(shape, nodes, inits)
     out_name = g.outputs[0].name
-    result = execute(g, {"x": feed})[out_name]
+    result = Executor(g).run({"x": feed})[out_name]
     inferred = g.value_info[out_name]
     assert result.shape == inferred.shape, \
         f"executor {result.shape} != inferred {inferred.shape}"

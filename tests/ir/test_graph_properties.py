@@ -81,12 +81,12 @@ def test_ancestors_between_is_closed(g):
 @given(random_dag())
 @settings(max_examples=20, deadline=None)
 def test_execution_matches_on_copy(g):
-    from repro.ir.executor import execute
+    from repro.ir.executor import Executor
     from repro.ir.shape_inference import infer_shapes
     infer_shapes(g)
     v = np.random.default_rng(0).normal(size=(4,)).astype(np.float32)
-    a = execute(g, {"x": v})
-    b = execute(g.copy(), {"x": v})
+    a = Executor(g).run({"x": v})
+    b = Executor(g.copy()).run({"x": v})
     for k in a:
         np.testing.assert_array_equal(a[k], b[k])
 
@@ -94,15 +94,15 @@ def test_execution_matches_on_copy(g):
 @given(random_dag())
 @settings(max_examples=20, deadline=None)
 def test_dead_node_elimination_preserves_output(g):
-    from repro.ir.executor import execute
+    from repro.ir.executor import Executor
     from repro.ir.passes import eliminate_dead_nodes
     from repro.ir.shape_inference import infer_shapes
     infer_shapes(g)
     v = np.random.default_rng(1).normal(size=(4,)).astype(np.float32)
-    before = execute(g, {"x": v})
+    before = Executor(g).run({"x": v})
     slim = eliminate_dead_nodes(g)
     infer_shapes(slim)
-    after = execute(slim, {"x": v})
+    after = Executor(slim).run({"x": v})
     out = g.output_names[0]
     np.testing.assert_array_equal(before[out], after[out])
     assert len(slim) <= len(g)

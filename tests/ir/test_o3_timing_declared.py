@@ -6,7 +6,7 @@ and reports each as ``plan.run.<model>.O<level>_ms``.  If level 3 left
 the schedule, or ``BENCHMARK.json`` stopped declaring the per-model O3
 metric, O3 timing would silently disappear.  The check reads both files
 without importing or running the harness, so it takes no wall-clock
-measurement.  CI runs this file as one step.
+measurement.
 """
 import ast
 import json

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.ir.builder import GraphBuilder
-from repro.ir.executor import Executor, execute
+from repro.ir.executor import Executor
 from repro.ir.graph import Graph
 from repro.ir.passes import (eliminate_dead_nodes, eliminate_identities,
                              fold_batchnorm, fold_shape_constants,
@@ -170,7 +170,7 @@ class TestEliminateIdentities:
 
 
 def run_graph(g, v):
-    return next(iter(execute(g, {g.inputs[0].name: v}).values()))
+    return next(iter(Executor(g).run({g.inputs[0].name: v}).values()))
 
 
 class TestDeadNodeElimination:
@@ -535,8 +535,8 @@ class TestGraphOutputContract:
         slim = eliminate_identities(g)
         assert set(slim.output_names) == set(g.output_names)
         v = np.asarray([-1, 2, -3, 4], np.float32)
-        want = execute(g, {"x": v})
-        have = execute(slim, {"x": v})
+        want = Executor(g).run({"x": v})
+        have = Executor(slim).run({"x": v})
         for name in g.output_names:
             np.testing.assert_array_equal(have[name], want[name])
 
@@ -563,7 +563,7 @@ class TestGraphOutputContract:
         slim = eliminate_common_subexpressions(g)
         assert set(slim.output_names) == set(g.output_names)
         v = np.asarray([-1, 2, -3, 4], np.float32)
-        outs = execute(slim, {"x": v})
+        outs = Executor(slim).run({"x": v})
         for name in g.output_names:
             np.testing.assert_array_equal(outs[name], np.maximum(v, 0))
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.ir.builder import GraphBuilder
-from repro.ir.executor import ExecutionError, Executor, execute
+from repro.ir.executor import ExecutionError, Executor
 from repro.ir.graph import Graph
 from repro.ir.node import Node
 from repro.ir.passes import fold_shape_constants
@@ -155,7 +155,7 @@ def test_shape_subgraph_folds_at_compile_time():
     assert plan.num_folded >= 4
     assert plan.num_steps < len(graph.nodes)
     feeds = feeds_for(graph)
-    want = execute(graph, feeds)
+    want = Executor(graph).run(feeds)
     got = plan.run(feeds)
     for k in want:
         assert want[k].tobytes() == got[k].tobytes()
@@ -167,8 +167,8 @@ def test_fold_shape_constants_pass_is_lossless():
     assert len(folded.nodes) < len(graph.nodes)
     assert len(graph.nodes) == 5  # original untouched without in_place
     feeds = feeds_for(graph)
-    want = execute(graph, feeds)
-    got = execute(folded, feeds)
+    want = Executor(graph).run(feeds)
+    got = Executor(folded).run(feeds)
     for k in want:
         assert want[k].tobytes() == got[k].tobytes()
 
@@ -177,7 +177,7 @@ def test_fetch_intermediate_and_folded_tensors():
     graph, _, _ = mlp_graph()
     feeds = feeds_for(graph)
     inter = graph.nodes[0].outputs[0]
-    want = execute(graph, feeds, fetch=[inter])
+    want = Executor(graph).run(feeds, fetch=[inter])
     got = compile_plan(graph).run(feeds, fetch=[inter])
     assert want[inter].tobytes() == got[inter].tobytes()
 

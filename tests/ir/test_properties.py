@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.ir.builder import GraphBuilder
-from repro.ir.executor import execute
+from repro.ir.executor import Executor
 from repro.ir.graph import Graph
 from repro.ir.node import Node
 from repro.ir.serialization import from_json, to_json
@@ -53,7 +53,7 @@ def test_transpose_roundtrip_execution(shape):
     back = b.transpose(t, [perm.index(i) for i in range(rank)])
     g = b.finish(back)
     v = np.random.default_rng(0).normal(size=shape).astype(np.float32)
-    out = execute(g, {"x": v})[back]
+    out = Executor(g).run({"x": v})[back]
     np.testing.assert_array_equal(out, v)
 
 
@@ -67,7 +67,7 @@ def test_matmul_inference_matches_execution(b_, m, k):
     y = gb.matmul(a, w)
     g = gb.finish(y)
     inferred = g.tensor(y).shape
-    out = execute(g, {
+    out = Executor(g).run({
         "a": np.zeros((b_, m, k), np.float32),
         "w": np.zeros((k, n), np.float32)})[y]
     assert out.shape == inferred
@@ -86,7 +86,7 @@ def test_unary_chain_shape_preserved(ops, shape):
     g = b.finish(y)
     assert g.tensor(y).shape == tuple(shape)
     v = np.random.default_rng(0).normal(size=shape).astype(np.float32)
-    out = execute(g, {"x": v})[y]
+    out = Executor(g).run({"x": v})[y]
     assert out.shape == tuple(shape)
     assert np.isfinite(out).all()
 
@@ -102,7 +102,7 @@ def test_concat_split_inverse(b_, rows, cols):
     y = gb.concat([lo, hi], axis=2)
     g = gb.finish(y)
     v = np.random.default_rng(1).normal(size=(b_, rows, cols)).astype(np.float32)
-    out = execute(g, {"x": v})[y]
+    out = Executor(g).run({"x": v})[y]
     np.testing.assert_array_equal(out, v)
 
 

@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from repro.ir.builder import GraphBuilder
-from repro.ir.executor import execute
+from repro.ir.executor import Executor
 from repro.models.common import (channel_shuffle, conv_bn_act,
                                  make_divisible, mlp_block,
                                  multi_head_attention, patch_embed,
@@ -67,7 +67,7 @@ class TestSeBlock:
         y = se_block(b, x, 2)
         g = b.finish(y)
         v = np.random.default_rng(0).normal(size=(1, 8, 4, 4)).astype(np.float32)
-        out = execute(g, {"x": v})[y]
+        out = Executor(g).run({"x": v})[y]
         assert (np.abs(out) <= np.abs(v) + 1e-6).all()
 
 
@@ -85,7 +85,7 @@ class TestChannelShuffle:
         y = channel_shuffle(b, x, 2)
         g = b.finish(y)
         v = np.arange(24, dtype=np.float32).reshape(1, 6, 2, 2)
-        out = execute(g, {"x": v})[y]
+        out = Executor(g).run({"x": v})[y]
         want = v.reshape(1, 2, 3, 2, 2).transpose(0, 2, 1, 3, 4)\
                 .reshape(1, 6, 2, 2)
         np.testing.assert_array_equal(out, want)
@@ -97,7 +97,7 @@ class TestChannelShuffle:
         y = channel_shuffle(b, y, 2)
         g = b.finish(y)
         v = np.arange(16, dtype=np.float32).reshape(1, 4, 2, 2)
-        out = execute(g, {"x": v})[y]
+        out = Executor(g).run({"x": v})[y]
         np.testing.assert_array_equal(out, v)
 
 
@@ -122,7 +122,7 @@ class TestAttention:
         x = b.input("x", (1, 6, 16))
         y = multi_head_attention(b, x, 16, 2, name="attn")
         g = b.finish(y)
-        out = execute(g, {"x": np.random.default_rng(0).normal(
+        out = Executor(g).run({"x": np.random.default_rng(0).normal(
             size=(1, 6, 16)).astype(np.float32)})[y]
         assert np.isfinite(out).all()
 

@@ -101,13 +101,13 @@ class TestExecutability:
     reference executor (tiny configurations for speed)."""
 
     def _run(self, graph, feeds=None):
-        from repro.ir.executor import execute
+        from repro.ir.executor import Executor
         if feeds is None:
             feeds = {}
             for t in graph.inputs:
                 feeds[t.name] = np.random.default_rng(0).normal(
                     size=t.shape).astype(t.dtype.to_numpy())
-        return execute(graph, feeds)
+        return Executor(graph).run(feeds)
 
     def test_resnet50_tiny(self):
         from repro.models import resnet50

@@ -2,12 +2,15 @@
 
 Most concurrency tests inject a fast synthetic runner instead of the
 real profiler, so they exercise queueing/dedup/retry policy without
-paying for model construction on every job.
+paying for model construction on every job.  Retry backoff and the
+fleet supervisor's poll period are module constants; the fixtures below
+shorten them for tests that would otherwise sleep them out.
 """
 import pytest
 
 from repro.core.report import EndToEnd, LayerProfile, MetricSource, \
     ProfileReport
+from repro.service import dispatch, policy
 
 
 def synthetic_report(name="m", latency=1e-3, flop=1e9):
@@ -28,3 +31,15 @@ def synthetic_report(name="m", latency=1e-3, flop=1e9):
 @pytest.fixture
 def make_report():
     return synthetic_report
+
+
+@pytest.fixture
+def fast_backoff(monkeypatch):
+    """A 1 ms first retry backoff."""
+    monkeypatch.setattr(policy, "BACKOFF_SECONDS", 0.001)
+
+
+@pytest.fixture
+def fast_supervisor(monkeypatch):
+    """A fleet supervisor that looks for dead shards every 50 ms."""
+    monkeypatch.setattr(dispatch, "SUPERVISOR_POLL_SECONDS", 0.05)

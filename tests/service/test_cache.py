@@ -4,6 +4,7 @@ import threading
 import pytest
 
 from repro.ir.fingerprint import report_digest
+from repro.service import cache as result_cache
 from repro.service.cache import ResultCache
 
 
@@ -149,21 +150,16 @@ def test_negative_entry_roundtrip_and_stats():
     assert stats.to_dict()["negative_hits"] == 1
 
 
-def test_negative_entry_expires():
+def test_negative_entry_expires(monkeypatch):
     import time
 
-    cache = ResultCache(negative_ttl=0.05)
+    monkeypatch.setattr(result_cache, "NEGATIVE_TTL_SECONDS", 0.05)
+    cache = ResultCache()
     cache.put_failure("k", ValueError("boom"))
     assert cache.get_failure("k") is not None
     time.sleep(0.08)
     assert cache.get_failure("k") is None
     assert cache.stats().negative_entries == 0
-
-
-def test_negative_tier_disabled_with_zero_ttl():
-    cache = ResultCache(negative_ttl=0.0)
-    cache.put_failure("k", ValueError("boom"))
-    assert cache.get_failure("k") is None
 
 
 def test_positive_result_supersedes_negative_entry(make_report):

@@ -12,6 +12,7 @@ import time
 import pytest
 
 from repro.backends.base import UnsupportedModelError
+from repro.service import dispatch
 from repro.service.cache import ResultCache
 from repro.ir.fingerprint import graph_fingerprint
 from repro.models.registry import build_model
@@ -20,7 +21,8 @@ from repro.service.dispatch import (Dispatcher, HashRing, ShardBusyError,
 from repro.obs.metrics import MetricsRegistry
 from repro.service.fingerprint import ProfileRequest
 from repro.service.queue import Job, JobFailedError
-from repro.service.shard import ShardConfig
+
+pytestmark = pytest.mark.usefixtures("fast_backoff", "fast_supervisor")
 
 
 class Request:
@@ -31,14 +33,11 @@ class Request:
         self.sleep = sleep
 
 
-def make_dispatcher(runner, processes=2, queue_size=16, backoff=0.001,
-                    poll=0.05, cache=None, **kwargs):
+def make_dispatcher(runner, processes=2, queue_size=16, cache=None):
     return Dispatcher(
         runner, cache=ResultCache() if cache is None else cache,
         metrics=MetricsRegistry(),
-        processes=processes, shard_queue_size=queue_size,
-        backoff_seconds=backoff, supervisor_poll_seconds=poll,
-        shard_config=ShardConfig(), **kwargs)
+        processes=processes, shard_queue_size=queue_size)
 
 
 class FakeReport:
@@ -109,8 +108,6 @@ def test_ring_rebalance_moves_only_the_removed_shards_keys():
 def test_ring_rejects_degenerate_configs():
     with pytest.raises(ValueError):
         HashRing([])
-    with pytest.raises(ValueError):
-        HashRing(range(2), replicas=0)
     ring = HashRing([0])
     with pytest.raises(ValueError):
         ring.remove(0)                           # never empty the ring
@@ -288,8 +285,9 @@ def crash_or_echo(request):
     return echo_runner(request)
 
 
-def test_crashed_shard_respawns_and_drains_waiting_jobs():
-    fleet = make_dispatcher(crash_or_echo, processes=1, poll=0.02)
+def test_crashed_shard_respawns_and_drains_waiting_jobs(monkeypatch):
+    monkeypatch.setattr(dispatch, "SUPERVISOR_POLL_SECONDS", 0.02)
+    fleet = make_dispatcher(crash_or_echo, processes=1)
     fleet.start()
     try:
         doomed = fleet.submit(Job("j-crash", "k-crash",
@@ -313,8 +311,9 @@ def test_crashed_shard_respawns_and_drains_waiting_jobs():
         fleet.stop()
 
 
-def test_crashing_request_cannot_crash_loop_the_shard():
-    fleet = make_dispatcher(crash_or_echo, processes=1, poll=0.02)
+def test_crashing_request_cannot_crash_loop_the_shard(monkeypatch):
+    monkeypatch.setattr(dispatch, "SUPERVISOR_POLL_SECONDS", 0.02)
+    fleet = make_dispatcher(crash_or_echo, processes=1)
     fleet.start()
     try:
         doomed = fleet.submit(Job("j-crash", "k-crash", Request("crash"),
@@ -327,8 +326,9 @@ def test_crashing_request_cannot_crash_loop_the_shard():
         fleet.stop()
 
 
-def test_wedged_attempt_is_killed_at_its_deadline():
-    fleet = make_dispatcher(echo_runner, processes=1, poll=0.02)
+def test_wedged_attempt_is_killed_at_its_deadline(monkeypatch):
+    monkeypatch.setattr(dispatch, "SUPERVISOR_POLL_SECONDS", 0.02)
+    fleet = make_dispatcher(echo_runner, processes=1)
     fleet.start()
     try:
         wedged = fleet.submit(Job("j-wedge", "k-wedge",

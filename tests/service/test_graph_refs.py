@@ -190,8 +190,11 @@ def test_reference_evicted_from_the_thread_tier_cache_is_rebuilt(
         monkeypatch):
     want = report_digest(direct("trt-sim", "fp32"))
     counter = BuildCounter(monkeypatch)
-    cache = AnalysisCache(max_entries=1, metrics=MetricsRegistry())
-    with ProfilingService(workers=1, analysis_cache=cache) as service:
+    # the service's own cache, with one shapes slot
+    monkeypatch.setattr(server_module, "AnalysisCache",
+                        lambda **kwargs: AnalysisCache(max_entries=1,
+                                                       **kwargs))
+    with ProfilingService(workers=1) as service:
         submit(service, "trt-sim", "fp16").result(timeout=60.0)
         # another graph takes the only shapes slot
         submit(service, "trt-sim", "fp16", batch=2).result(timeout=60.0)
@@ -222,8 +225,9 @@ def test_reference_survives_a_respawned_shard(monkeypatch, sent):
     assert (counter.builds, counter.rebuilds) == (1, 1)
 
 
-def test_mismatched_rebuild_raises_and_caches_nothing(monkeypatch):
-    with ProfilingService(workers=1, backoff_seconds=0.001) as service:
+def test_mismatched_rebuild_raises_and_caches_nothing(monkeypatch,
+                                                     fast_backoff):
+    with ProfilingService(workers=1) as service:
         submit(service, "trt-sim", "fp16").result(timeout=60.0)
         service.analysis_cache.clear()        # the reference must rebuild
         monkeypatch.setattr(fingerprint_module, "build_model",

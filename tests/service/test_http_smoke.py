@@ -2,9 +2,9 @@
 
 ``make_service(processes=1)`` is the thread tier and
 ``make_service(processes=2)`` a real two-process shard fleet.  Each
-serves a cold profile, a warm cache hit and ``/metrics``; the fleet
-also shows its per-shard gauges, two live shards in ``/stats`` and a
-clean stop.  See docs/SERVICE.md.
+serves a cold profile, a warm cache hit and ``queue_depth`` on
+``/metrics``; the fleet also shows its per-shard gauges, two live
+shards in ``/stats`` and a clean stop.  See docs/SERVICE.md.
 """
 import json
 import threading

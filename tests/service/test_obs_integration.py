@@ -12,12 +12,14 @@ from repro.service import ProfilingServer, ProfilingService
 from .conftest import synthetic_report
 
 
-def make_service(runner=None, **kwargs):
+pytestmark = pytest.mark.usefixtures("fast_backoff")
+
+
+def make_service(runner=None):
     if runner is None:
         def runner(request):
             return synthetic_report(request.graph.name)
-    return ProfilingService(workers=2, runner=runner,
-                            backoff_seconds=0.001, **kwargs)
+    return ProfilingService(workers=2, runner=runner)
 
 
 # ----------------------------------------------------------------------
@@ -59,8 +61,8 @@ def test_failed_attempts_record_error_spans():
     def runner(request):
         raise RuntimeError("synthetic failure")
 
-    with make_service(runner=runner, max_retries=1) as service:
-        job = service.submit("mobilenetv2-05")
+    with make_service(runner=runner) as service:
+        job = service.submit("mobilenetv2-05", max_retries=1)
         job.wait(timeout=30)
         assert job.status == "failed"
         spans = service.tracer.spans_for(job.id)

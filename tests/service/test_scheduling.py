@@ -12,7 +12,6 @@ from repro.obs.metrics import MetricsRegistry
 from repro.service.cache import ResultCache
 from repro.service.dispatch import Dispatcher
 from repro.service.queue import Job, JobQueue, JobStatus
-from repro.service.shard import ShardConfig
 from repro.service.workers import WorkerPool
 
 
@@ -55,18 +54,15 @@ def wait_until(predicate, timeout=10.0):
 
 
 @pytest.fixture(params=["threads", "fleet"])
-def scheduler(request):
+def scheduler(request, fast_backoff, fast_supervisor):
     """A started one-worker scheduler of either tier."""
     if request.param == "threads":
         sched = WorkerPool(runner, queue=JobQueue(maxsize=16),
                            cache=ResultCache(), metrics=MetricsRegistry(),
-                           num_workers=1, backoff_seconds=0.001)
+                           num_workers=1)
     else:
         sched = Dispatcher(runner, cache=ResultCache(),
-                           metrics=MetricsRegistry(), processes=1,
-                           backoff_seconds=0.001,
-                           supervisor_poll_seconds=0.05,
-                           shard_config=ShardConfig())
+                           metrics=MetricsRegistry(), processes=1)
     sched.start()
     try:
         yield sched

@@ -14,13 +14,15 @@ from repro.service import (ProfilingServer, ProfilingService,
 from .conftest import synthetic_report
 
 
+pytestmark = pytest.mark.usefixtures("fast_backoff")
+
+
 @pytest.fixture
 def server():
     def runner(request):
         return synthetic_report(request.graph.name)
 
-    service = ProfilingService(workers=2, runner=runner,
-                               backoff_seconds=0.001)
+    service = ProfilingService(workers=2, runner=runner)
     service.start()
     srv = ProfilingServer(service, port=0)
     thread = threading.Thread(target=srv.serve_forever, daemon=True)
@@ -147,8 +149,7 @@ def _slow_fleet_runner(request):
 @contextlib.contextmanager
 def fleet_server(runner=_fleet_runner, processes=2, **kwargs):
     service = ShardedProfilingService(
-        processes=processes, runner=runner, backoff_seconds=0.001,
-        **kwargs)
+        processes=processes, runner=runner, **kwargs)
     service.start()
     srv = ProfilingServer(service, port=0)
     thread = threading.Thread(target=srv.serve_forever, daemon=True)

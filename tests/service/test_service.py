@@ -10,11 +10,10 @@ import time
 
 import pytest
 
-from repro.analysis.cache import AnalysisCache
 from repro.core.profiler import Profiler
 from repro.ir.fingerprint import report_digest
 from repro.models import build_model
-from repro.obs.metrics import MetricsRegistry
+from repro.service import policy
 from repro.service import (JobFailedError, JobStatus, ProfilingService,
                            QueueFullError)
 from .conftest import synthetic_report
@@ -36,19 +35,6 @@ def test_cached_result_is_bit_identical_to_direct_profiler():
         second = service.profile("mobilenetv2-05", batch_size=2)
     assert report_digest(first) == report_digest(direct)
     assert report_digest(second) == report_digest(direct)
-
-
-def test_service_keeps_callers_empty_analysis_cache():
-    """An empty cache has ``len() == 0``; the service must still use it
-    rather than build its own."""
-    cache = AnalysisCache(metrics=MetricsRegistry())
-    with ProfilingService(workers=1, analysis_cache=cache) as service:
-        assert service.analysis_cache is cache
-        service.profile("mobilenetv2-05", batch_size=1)
-        service.profile("mobilenetv2-05", batch_size=1, precision="fp32")
-    assert cache.stats()["structure"] == {"hits": 1, "misses": 1,
-                                          "evictions": 0}
-    assert cache.stats()["shapes"]["misses"] == 1
 
 
 def test_second_request_served_from_cache_with_hit_in_stats():
@@ -97,15 +83,15 @@ def test_16_concurrent_identical_submissions_profile_once():
     assert service.queue.depth == 0
 
 
-def test_injected_failure_retries_then_surfaces_as_failed_job():
+def test_injected_failure_retries_then_surfaces_as_failed_job(monkeypatch):
+    monkeypatch.setattr(policy, "BACKOFF_SECONDS", 0.01)
     attempts = []
 
     def flaky_runner(request):
         attempts.append(time.monotonic())
         raise OSError("injected worker failure")
 
-    with ProfilingService(workers=1, runner=flaky_runner, max_retries=2,
-                          backoff_seconds=0.01) as service:
+    with ProfilingService(workers=1, runner=flaky_runner) as service:
         job = service.submit("mobilenetv2-05")
         with pytest.raises(JobFailedError, match="injected worker failure"):
             job.result(timeout=10.0)

@@ -4,7 +4,6 @@ The dispatcher's hash ring must shard keys disjointly and
 deterministically and rebalance minimally, and the fleet must spread
 the scale-out workload (64 mobilenetv2-05 graphs, batch sizes 1-64)
 over 4 shards so that no shard owns more than 1/2.5 of the jobs.
-CI runs this file as one step.
 """
 from collections import Counter
 

@@ -5,6 +5,7 @@ import time
 import pytest
 
 from repro.backends.base import UnsupportedModelError
+from repro.service import cache as result_cache, policy
 from repro.service.cache import ResultCache
 from repro.obs.metrics import MetricsRegistry
 from repro.service.queue import Job, JobFailedError, JobQueue, JobStatus
@@ -18,11 +19,13 @@ class Request:
         self.name = name
 
 
-def make_pool(runner, workers=4, backoff=0.001, queue_size=64):
+pytestmark = pytest.mark.usefixtures("fast_backoff")
+
+
+def make_pool(runner, workers=4, queue_size=64):
     queue = JobQueue(maxsize=queue_size)
     pool = WorkerPool(runner, queue=queue, cache=ResultCache(),
-                      metrics=MetricsRegistry(), num_workers=workers,
-                      backoff_seconds=backoff)
+                      metrics=MetricsRegistry(), num_workers=workers)
     return pool
 
 
@@ -93,7 +96,8 @@ def test_cache_short_circuits_submission(make_report):
         pool.stop()
 
 
-def test_retry_with_backoff_then_success(make_report):
+def test_retry_with_backoff_then_success(make_report, monkeypatch):
+    monkeypatch.setattr(policy, "BACKOFF_SECONDS", 0.02)
     attempts = []
 
     def runner(request):
@@ -102,7 +106,7 @@ def test_retry_with_backoff_then_success(make_report):
             raise ConnectionError("transient")
         return make_report()
 
-    pool = make_pool(runner, workers=1, backoff=0.02)
+    pool = make_pool(runner, workers=1)
     pool.start()
     try:
         job = pool.submit(Job("j1", "k", Request(), max_retries=3))
@@ -161,7 +165,7 @@ def test_timeout_counts_against_retry_budget(make_report):
         time.sleep(0.5)
         return make_report()
 
-    pool = make_pool(runner, workers=1, backoff=0.001)
+    pool = make_pool(runner, workers=1)
     pool.start()
     try:
         job = pool.submit(Job("j1", "k", Request(),
@@ -257,7 +261,7 @@ def test_analysis_cache_counters_cover_every_tier_once():
 # ----------------------------------------------------------------------
 # regression: stop() must interrupt a retry backoff immediately
 # ----------------------------------------------------------------------
-def test_stop_during_backoff_returns_promptly():
+def test_stop_during_backoff_returns_promptly(monkeypatch):
     """``stop()`` used to block for the whole exponential-backoff chain
     because the worker slept with ``time.sleep``; the stop event now
     wakes it mid-backoff and the job fails with its last error."""
@@ -269,7 +273,8 @@ def test_stop_during_backoff_returns_promptly():
 
     # 5s base backoff: an uninterruptible chain would hold stop() for
     # 5 + 10 + 20 seconds
-    pool = make_pool(runner, workers=1, backoff=5.0)
+    monkeypatch.setattr(policy, "BACKOFF_SECONDS", 5.0)
+    pool = make_pool(runner, workers=1)
     pool.start()
     job = pool.submit(Job("j1", "k", Request(), max_retries=3))
     assert started.wait(5.0)
@@ -311,7 +316,8 @@ def test_fatal_failure_short_circuits_identical_requests():
         pool.stop()
 
 
-def test_negative_cache_expires_and_reruns():
+def test_negative_cache_expires_and_reruns(monkeypatch):
+    monkeypatch.setattr(result_cache, "NEGATIVE_TTL_SECONDS", 0.1)
     calls = []
 
     def runner(request):
@@ -319,10 +325,8 @@ def test_negative_cache_expires_and_reruns():
         raise UnsupportedModelError("still unsupported")
 
     queue = JobQueue(maxsize=16)
-    pool = WorkerPool(runner, queue=queue,
-                      cache=ResultCache(negative_ttl=0.1),
-                      metrics=MetricsRegistry(), num_workers=1,
-                      backoff_seconds=0.001)
+    pool = WorkerPool(runner, queue=queue, cache=ResultCache(),
+                      metrics=MetricsRegistry(), num_workers=1)
     pool.start()
     try:
         with pytest.raises(JobFailedError):
@@ -346,7 +350,7 @@ def test_transient_failures_are_not_negative_cached(make_report):
             raise ConnectionError("transient")
         return make_report()
 
-    pool = make_pool(runner, workers=1, backoff=0.001)
+    pool = make_pool(runner, workers=1)
     pool.start()
     try:
         job = pool.submit(Job("j1", "k", Request(), max_retries=1))

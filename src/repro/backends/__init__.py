@@ -1,12 +1,12 @@
 """Simulated DNN inference runtimes and PRoof's layer mapping."""
 from .base import (Backend, BackendError, BackendLayer, BackendModel,
-                   LayerKind, UnsupportedModelError, work_item_for_unit)
+                   LayerKind, ReformatUnit, UnsupportedModelError,
+                   work_item_for_unit)
 from .optimizer import FusionConfig, FusionGroup, FusionPlanner, GroupKind
 from .trtsim import TensorRTSim
 from .ortsim import OnnxRuntimeSim
 from .ovsim import OpenVINOSim
-from .mapping import (LayerMapper, MappedLayer, ReformatUnit, map_layers,
-                      mapper_for)
+from .mapping import LayerMapper, MappedLayer, map_layers, mapper_for
 
 __all__ = [
     "Backend", "BackendError", "BackendLayer", "BackendModel", "LayerKind",

@@ -22,59 +22,15 @@ the runtimes do not report it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Type
+from typing import List, Sequence
 
 from ..analysis.arep import AnalyzedOp
-from ..analysis.oarep import (FusedOp, MappingError,
-                              OptimizedAnalyzeRepresentation)
-from ..analysis.opdefs import OpClass, OpCost
-from ..ir.fingerprint import tensor_fingerprint
-from ..ir.node import Node
-from ..ir.tensor import DataType, TensorInfo
+from ..analysis.oarep import MappingError, OptimizedAnalyzeRepresentation
+from ..analysis.opdefs import OpClass
 from ..obs.trace import get_tracer
-from .base import BackendLayer, BackendModel
+from .base import BackendLayer, BackendModel, ReformatUnit
 
-__all__ = ["ReformatUnit", "MappedLayer", "LayerMapper", "map_layers",
-           "mapper_for"]
-
-
-class ReformatUnit:
-    """Analysis-side stand-in for a runtime-inserted conversion copy.
-
-    It has no model operators; its cost is one read + one write of the
-    converted tensor.
-    """
-
-    def __init__(self, name: str, info: TensorInfo) -> None:
-        self.name = name
-        self.info = info
-        self.inputs = [info.name]
-        self.outputs = [f"{info.name}::reformat"]
-
-    def layer_fingerprint(self) -> str:
-        """Name-free identity: the converted tensor's shape + dtype."""
-        return tensor_fingerprint(self.info)
-
-    @property
-    def member_nodes(self) -> List[Node]:
-        return []
-
-    @property
-    def member_names(self) -> List[str]:
-        return []
-
-    def op_class(self) -> OpClass:
-        return OpClass.DATA_MOVEMENT
-
-    def cost(self, precision: Optional[DataType] = None) -> OpCost:
-        precision = precision or DataType.FLOAT16
-        itemsize = precision.itemsize if self.info.dtype.is_float \
-            else self.info.dtype.itemsize
-        nbytes = float(self.info.numel * itemsize)
-        return OpCost(0.0, nbytes, nbytes)
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"ReformatUnit({self.name!r})"
+__all__ = ["MappedLayer", "LayerMapper", "map_layers", "mapper_for"]
 
 
 @dataclass
@@ -108,11 +64,8 @@ def infer_folded(ops: Sequence[AnalyzedOp]) -> List[str]:
 
 
 class LayerMapper:
-    """Generic io-search based mapper; subclasses add runtime-specific
-    use of exposed names."""
-
-    #: backend names this mapper handles
-    backend_names: Sequence[str] = ()
+    """io-search based mapping; subclasses add runtime-specific use of
+    exposed names."""
 
     def map(self, model: BackendModel,
             oar: OptimizedAnalyzeRepresentation) -> List[MappedLayer]:
@@ -169,8 +122,6 @@ class TensorRTMapper(LayerMapper):
     """Uses exposed member names when TRT provides them; falls back to
     io-based subgraph search for PWN/Myelin layers."""
 
-    backend_names = ("trt-sim",)
-
     def resolve_members(self, layer: BackendLayer,
                         oar: OptimizedAnalyzeRepresentation) -> List[AnalyzedOp]:
         if layer.exposed_member_names:
@@ -197,13 +148,9 @@ class TensorRTMapper(LayerMapper):
 class OnnxRuntimeMapper(LayerMapper):
     """Pure io-based mapping — the paper's Figure 2 workflow."""
 
-    backend_names = ("ort-sim",)
-
 
 class OpenVINOMapper(LayerMapper):
     """io-based subgraph search, cross-checked against the friendly name."""
-
-    backend_names = ("ov-sim",)
 
     def resolve_members(self, layer: BackendLayer,
                         oar: OptimizedAnalyzeRepresentation) -> List[AnalyzedOp]:
@@ -218,15 +165,13 @@ class OpenVINOMapper(LayerMapper):
         return ops
 
 
-_MAPPERS: Dict[str, Type[LayerMapper]] = {}
-for _cls in (TensorRTMapper, OnnxRuntimeMapper, OpenVINOMapper):
-    for _name in _cls.backend_names:
-        _MAPPERS[_name] = _cls
+_MAPPERS = {"trt-sim": TensorRTMapper, "ort-sim": OnnxRuntimeMapper,
+            "ov-sim": OpenVINOMapper}
 
 
 def mapper_for(backend_name: str) -> LayerMapper:
-    """Instantiate the mapper for a backend (generic fallback otherwise)."""
-    return _MAPPERS.get(backend_name, LayerMapper)()
+    """Instantiate the mapper for a backend."""
+    return _MAPPERS[backend_name]()
 
 
 def map_layers(model: BackendModel,

@@ -22,7 +22,8 @@ from ..analysis.arep import AnalyzedOp, AnalyzeRepresentation
 from ..analysis.opdefs import OpClass
 from ..ir.fusion import FUSABLE_ACTIVATIONS
 
-__all__ = ["FusionConfig", "FusionGroup", "FusionPlanner", "GroupKind"]
+__all__ = ["FusionConfig", "FusionGroup", "FusionPlanner", "GroupKind",
+           "MAX_GROUP_SIZE"]
 
 
 class GroupKind:
@@ -33,31 +34,32 @@ class GroupKind:
     SINGLE = "single"
 
 
+#: the most ops one pointwise (PWN) region may hold
+MAX_GROUP_SIZE = 24
+
+
 @dataclass(frozen=True)
 class FusionConfig:
-    """Which fusion passes a runtime performs."""
+    """How hard a runtime fuses.
 
-    fold_batchnorm: bool = True
-    fuse_activations: bool = True        # conv/GEMM + ReLU/Clip/SiLU/HardSwish
+    Every runtime folds BatchNorm into convolutions, fuses activations
+    into conv/GEMM epilogues and bias adds into MatMuls, and grows
+    pointwise regions of at most :data:`MAX_GROUP_SIZE` ops; the
+    runtimes differ in the two passes below.
+    """
+
     fuse_residual_add: bool = True       # conv + Add (+ activation) epilogue
-    fuse_bias_add: bool = True           # MatMul + broadcast Add
-    fuse_pointwise_chains: bool = True   # PWN-style regions
     pointwise_includes_normalization: bool = False  # Myelin fuses LayerNorm in
-    max_group_size: int = 24
 
     @classmethod
     def aggressive(cls) -> "FusionConfig":
-        """TensorRT-style: everything on, LayerNorm joins pointwise regions."""
+        """TensorRT-style: LayerNorm joins pointwise regions."""
         return cls(pointwise_includes_normalization=True)
 
     @classmethod
     def moderate(cls) -> "FusionConfig":
         """ONNX Runtime / OpenVINO style: no residual-add epilogue fusion."""
         return cls(fuse_residual_add=False)
-
-    @classmethod
-    def none(cls) -> "FusionConfig":
-        return cls(False, False, False, False, False, False)
 
 
 @dataclass
@@ -101,14 +103,9 @@ class FusionPlanner:
     # ------------------------------------------------------------------
     def plan(self) -> List[FusionGroup]:
         """Compute the fusion groups in topological order."""
-        groups: List[FusionGroup] = []
-        if self.config.fold_batchnorm or self.config.fuse_activations \
-                or self.config.fuse_residual_add:
-            groups.extend(self._plan_conv_groups())
-        if self.config.fuse_bias_add:
-            groups.extend(self._plan_matmul_groups())
-        if self.config.fuse_pointwise_chains:
-            groups.extend(self._plan_pointwise_regions())
+        groups = self._plan_conv_groups()
+        groups.extend(self._plan_matmul_groups())
+        groups.extend(self._plan_pointwise_regions())
         for op in self.arep.ops:
             if id(op) not in self._assigned:
                 kind = GroupKind.NOOP if op.op_class() is OpClass.ZERO_COST \
@@ -151,24 +148,20 @@ class FusionPlanner:
             self._assigned.add(id(op))
             cursor = op
             # 1) BatchNorm folds into the conv weights
-            if self.config.fold_batchnorm:
-                nxt = self._sole_consumer(cursor.outputs[0])
-                if self._free(nxt) and nxt.op_type == "BatchNormalization":
-                    self._take(group, nxt)
-                    group.folded.append(nxt.name)
-                    cursor = nxt
+            nxt = self._sole_consumer(cursor.outputs[0])
+            if self._free(nxt) and nxt.op_type == "BatchNormalization":
+                self._take(group, nxt)
+                group.folded.append(nxt.name)
+                cursor = nxt
             # 2) activation epilogue
-            if self.config.fuse_activations:
-                cursor = self._absorb_activation(group, cursor)
+            cursor = self._absorb_activation(group, cursor)
             # 3) residual Add (+ trailing activation)
             if self.config.fuse_residual_add:
                 nxt = self._sole_consumer(cursor.outputs[0])
                 if self._free(nxt) and nxt.op_type == "Add" \
                         and cursor.outputs[0] in nxt.inputs:
                     self._take(group, nxt)
-                    cursor = nxt
-                    if self.config.fuse_activations:
-                        cursor = self._absorb_activation(group, cursor)
+                    self._absorb_activation(group, nxt)
             groups.append(group)
         return groups
 
@@ -212,8 +205,7 @@ class FusionPlanner:
                     if other and all(self.graph.is_initializer(t) for t in other):
                         self._take(group, nxt)
                         cursor = nxt
-            if self.config.fuse_activations:
-                self._absorb_activation(group, cursor)
+            self._absorb_activation(group, cursor)
             groups.append(group)
         return groups
 
@@ -249,7 +241,7 @@ class FusionPlanner:
             in_region_outputs: Set[str] = set(seed.outputs)
             member_ids = {id(seed)}
             frontier = [seed]
-            while frontier and len(region) < self.config.max_group_size:
+            while frontier and len(region) < MAX_GROUP_SIZE:
                 cur = frontier.pop(0)
                 for cand in self._consumers_of(cur):
                     if id(cand) in member_ids or id(cand) in self._assigned:
@@ -262,7 +254,7 @@ class FusionPlanner:
                     region.append(cand)
                     in_region_outputs.update(cand.outputs)
                     frontier.append(cand)
-                    if len(region) >= self.config.max_group_size:
+                    if len(region) >= MAX_GROUP_SIZE:
                         break
             region.sort(key=lambda o: self._order[id(o)])
             for op in region:

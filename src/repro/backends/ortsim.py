@@ -16,72 +16,24 @@ Table 2 (Xeon Gold 6330, Raspberry Pi 4B):
 """
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import List, Optional, Tuple
 
-from ..analysis.arep import AnalyzeRepresentation
-from ..hardware.specs import HardwareSpec
-from ..ir.tensor import DataType
-from .base import BackendLayer, LayerKind
-from .optimizer import FusionConfig, FusionGroup, GroupKind
-from .simruntime import SimulatedRuntime
+from .base import Backend
+from .optimizer import FusionConfig, FusionGroup
 
 __all__ = ["OnnxRuntimeSim"]
 
 
-class OnnxRuntimeSim(SimulatedRuntime):
+class OnnxRuntimeSim(Backend):
     """Simulated ONNX Runtime backend."""
 
     name = "ort-sim"
+    fusion_config = FusionConfig.moderate()
+    # reorders into the blocked execution layout and back
+    input_reformat = ("reorder_{i}", "{t}_r")
+    output_reformat = ("reorder_{i}", "{t}_r")
 
-    def fusion_config(self, spec: HardwareSpec) -> FusionConfig:
-        return FusionConfig.moderate()
-
-    # ------------------------------------------------------------------
-    def build_layers(self, groups: Sequence[FusionGroup],
-                     units: Sequence[object],
-                     arep: AnalyzeRepresentation,
-                     precision: DataType) -> List[BackendLayer]:
-        layers: List[BackendLayer] = []
-        counter = 0
-        aliases = {}
-        # reorder graph inputs into the blocked execution layout
-        for t in arep.graph.inputs:
-            counter += 1
-            reordered = f"{t.name}_r"
-            aliases[t.name] = reordered
-            layers.append(BackendLayer(
-                name=f"reorder_{counter}",
-                kind=LayerKind.REFORMAT,
-                inputs=[t.name],
-                outputs=[reordered],
-                true_alias=(t.name, reordered),
-            ))
-        for group, unit in zip(groups, units):
-            counter += 1
-            inputs, outputs = self._unit_io(unit)
-            inputs = [aliases.get(t, t) for t in inputs]
-            if group.size > 1:
-                name = f"fused_op_{counter}"
-            else:
-                name = f"{group.members[0].op_type}_{counter}"
-            layers.append(BackendLayer(
-                name=name,
-                kind=LayerKind.EXECUTION,
-                inputs=inputs,
-                outputs=list(outputs),
-                exposed_member_names=None,   # io only — see Figure 2
-                true_member_names=[m.name for m in group.members],
-                true_folded_names=list(group.folded),
-            ))
-        # reorder outputs back to the public layout
-        for t in arep.graph.outputs:
-            counter += 1
-            reordered = f"{t.name}_r"
-            layers.append(BackendLayer(
-                name=f"reorder_{counter}",
-                kind=LayerKind.REFORMAT,
-                inputs=[t.name],
-                outputs=[reordered],
-                true_alias=(t.name, reordered),
-            ))
-        return layers
+    def execution_layer(self, group: FusionGroup, position: int
+                        ) -> Tuple[str, Optional[List[str]]]:
+        kind = "fused_op" if group.size > 1 else group.members[0].op_type
+        return f"{kind}_{position}", None       # io only — see Figure 2

@@ -17,22 +17,21 @@ NPU 3720 (Meteor Lake "AI Boost"):
 """
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import List, Optional, Tuple
 
-from ..analysis.arep import AnalyzeRepresentation
-from ..hardware.specs import HardwareSpec
-from ..ir.tensor import DataType
-from .base import BackendLayer, LayerKind
+from .base import Backend
 from .optimizer import FusionConfig, FusionGroup
-from .simruntime import SimulatedRuntime
 
 __all__ = ["OpenVINOSim"]
 
 
-class OpenVINOSim(SimulatedRuntime):
+class OpenVINOSim(Backend):
     """Simulated OpenVINO backend."""
 
     name = "ov-sim"
+    fusion_config = FusionConfig.moderate()
+    input_reformat = ("Convert_{t}", "{t}/convert")
+    output_reformat = ("Convert_{t}_out", "{t}/convert")
 
     unsupported_ops = {
         "npu3720": frozenset({
@@ -42,48 +41,9 @@ class OpenVINOSim(SimulatedRuntime):
         }),
     }
 
-    def fusion_config(self, spec: HardwareSpec) -> FusionConfig:
-        return FusionConfig.moderate()
-
-    # ------------------------------------------------------------------
-    def build_layers(self, groups: Sequence[FusionGroup],
-                     units: Sequence[object],
-                     arep: AnalyzeRepresentation,
-                     precision: DataType) -> List[BackendLayer]:
-        layers: List[BackendLayer] = []
-        aliases = {}
-        for t in arep.graph.inputs:
-            converted = f"{t.name}/convert"
-            aliases[t.name] = converted
-            layers.append(BackendLayer(
-                name=f"Convert_{t.name}",
-                kind=LayerKind.REFORMAT,
-                inputs=[t.name],
-                outputs=[converted],
-                true_alias=(t.name, converted),
-            ))
-        for group, unit in zip(groups, units):
-            inputs, outputs = self._unit_io(unit)
-            inputs = [aliases.get(t, t) for t in inputs]
-            friendly = group.members[-1].name
-            layers.append(BackendLayer(
-                name=friendly,
-                kind=LayerKind.EXECUTION,
-                inputs=inputs,
-                outputs=list(outputs),
-                # OpenVINO keeps one friendly name per compiled layer —
-                # a partial mapping hint
-                exposed_member_names=[friendly],
-                true_member_names=[m.name for m in group.members],
-                true_folded_names=list(group.folded),
-            ))
-        for t in arep.graph.outputs:
-            converted = f"{t.name}/convert"
-            layers.append(BackendLayer(
-                name=f"Convert_{t.name}_out",
-                kind=LayerKind.REFORMAT,
-                inputs=[t.name],
-                outputs=[converted],
-                true_alias=(t.name, converted),
-            ))
-        return layers
+    def execution_layer(self, group: FusionGroup, position: int
+                        ) -> Tuple[str, Optional[List[str]]]:
+        # OpenVINO keeps one friendly name per compiled layer — a
+        # partial mapping hint
+        friendly = group.members[-1].name
+        return friendly, [friendly]

@@ -22,16 +22,15 @@ mapping and per-layer profiling:
 """
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import Callable, Dict, List, Optional, Tuple
 
-from ..analysis.arep import AnalyzedOp, AnalyzeRepresentation
+from ..analysis.arep import AnalyzeRepresentation
 from ..analysis.opdefs import OpClass
 from ..hardware.specs import HardwareSpec
 from ..ir.graph import Graph
 from ..ir.tensor import DataType
-from .base import BackendLayer, LayerKind, UnsupportedModelError
+from .base import Backend, UnsupportedModelError
 from .optimizer import FusionConfig, FusionGroup, GroupKind
-from .simruntime import SimulatedRuntime
 
 __all__ = ["TensorRTSim"]
 
@@ -39,13 +38,52 @@ __all__ = ["TensorRTSim"]
 _MYELIN_CLASSES = {OpClass.NORMALIZATION, OpClass.SOFTMAX}
 
 
-class TensorRTSim(SimulatedRuntime):
+def _absorb(groups: List[FusionGroup], arep: AnalyzeRepresentation,
+            target_of: Callable[[FusionGroup, Dict[int, FusionGroup]],
+                                Optional[FusionGroup]]
+            ) -> List[FusionGroup]:
+    """Move each group into the group ``target_of(group, group_of_op)``
+    picks (None: it stays), in group order: the target's members stay
+    in topological order and later picks see the moved ops in their
+    new group."""
+    group_of_op = {id(m): g for g in groups for m in g.members}
+    position = {id(o): i for i, o in enumerate(arep.ops)}
+    absorbed = set()
+    for g in groups:
+        target = target_of(g, group_of_op)
+        if target is None:
+            continue
+        target.members.extend(g.members)
+        target.members.sort(key=lambda o: position[id(o)])
+        for m in g.members:
+            group_of_op[id(m)] = target
+        absorbed.add(id(g))
+    # by identity: FusionGroup equality would compare field by field
+    return [g for g in groups if id(g) not in absorbed]
+
+
+class TensorRTSim(Backend):
     """Simulated TensorRT backend."""
 
     name = "trt-sim"
+    fusion_config = FusionConfig.aggressive()
+    # fp32 host tensors -> fp16 device format, and back at the outputs
+    input_reformat = ("Reformatting CopyNode for Input Tensor {t}",
+                      "{t} reformatted")
+    output_reformat = ("Reformatting CopyNode for Output Tensor {t}",
+                       "{t} reformatted (output)")
 
-    def fusion_config(self, spec: HardwareSpec) -> FusionConfig:
-        return FusionConfig.aggressive()
+    def execution_layer(self, group: FusionGroup, position: int
+                        ) -> Tuple[str, Optional[List[str]]]:
+        # io only for PWN / Myelin regions: Myelin tells you nothing
+        if any(m.op_class() in _MYELIN_CLASSES
+               and m.op_type != "BatchNormalization"
+               for m in group.members):
+            return ("{ForeignNode[" + group.members[0].name + "..."
+                    + group.members[-1].name + "]}"), None
+        if group.kind == GroupKind.POINTWISE:
+            return f"PWN({group.members[-1].name})", None
+        return " + ".join(group.names), group.names
 
     def check_supported(self, graph: Graph, spec: HardwareSpec,
                         precision: DataType) -> None:
@@ -61,6 +99,37 @@ class TensorRTSim(SimulatedRuntime):
         return self._absorb_movement_into_matmuls(groups, arep)
 
     @staticmethod
+    def _merge_noops_into_neighbours(groups: List[FusionGroup],
+                                     arep: AnalyzeRepresentation
+                                     ) -> List[FusionGroup]:
+        """Absorb pure no-op groups (reshape chains) into the group that
+        consumes their output, or else into their producer's group —
+        TensorRT makes them vanish entirely."""
+        graph = arep.graph
+
+        def target_of(g, group_of_op):
+            if g.kind != GroupKind.NOOP:
+                return None
+            for m in g.members:
+                for t in m.outputs:
+                    for node in graph.consumers(t):
+                        consumer = arep.op_by_output(node.outputs[0])
+                        tg = group_of_op.get(id(consumer)) if consumer else None
+                        if tg is not None and tg is not g:
+                            return tg
+            # feeds only graph outputs: absorb into the producer group
+            # (none for a degenerate graph of only no-ops)
+            for m in g.members:
+                for t in m.inputs:
+                    producer = arep.op_by_output(t)
+                    tg = group_of_op.get(id(producer)) if producer else None
+                    if tg is not None and tg is not g:
+                        return tg
+            return None
+
+        return _absorb(groups, arep, target_of)
+
+    @staticmethod
     def _absorb_movement_into_matmuls(groups: List[FusionGroup],
                                       arep: AnalyzeRepresentation
                                       ) -> List[FusionGroup]:
@@ -71,92 +140,26 @@ class TensorRTSim(SimulatedRuntime):
         into the adjacent MatMul layers this way — the reason real TRT
         transformer profiles show so few copy layers."""
         graph = arep.graph
-        group_of_op = {}
-        for g in groups:
-            for m in g.members:
-                group_of_op[id(m)] = g
-        group_by_id = {id(g): g for g in groups}
-        position = {id(o): i for i, o in enumerate(arep.ops)}
-        absorbed = set()
-        for g in groups:
+
+        def target_of(g, group_of_op):
             if g.kind != GroupKind.SINGLE or len(g.members) != 1:
-                continue
+                return None
             op = g.members[0]
             if op.op_class() is not OpClass.DATA_MOVEMENT:
-                continue
-            consumer_groups = set()
+                return None
+            targets = {}
             for t in op.outputs:
                 if t in arep.graph_outputs:
-                    consumer_groups.add(None)
+                    return None
                 for node in graph.consumers(t):
                     cop = arep.op_by_output(node.outputs[0])
-                    consumer_groups.add(
-                        id(group_of_op[id(cop)]) if cop else None)
-            if len(consumer_groups) != 1 or None in consumer_groups:
-                continue
-            target = group_by_id[consumer_groups.pop()]
-            if target.kind != GroupKind.MATMUL:
-                continue
-            target.members.extend(g.members)
-            target.members.sort(key=lambda o: position[id(o)])
-            for m in g.members:
-                group_of_op[id(m)] = target
-            absorbed.add(id(g))
-        # by identity: FusionGroup equality would compare field by field
-        return [g for g in groups if id(g) not in absorbed]
+                    if cop is None:
+                        return None
+                    tg = group_of_op[id(cop)]
+                    targets[id(tg)] = tg
+            if len(targets) != 1:
+                return None
+            (target,) = targets.values()
+            return target if target.kind == GroupKind.MATMUL else None
 
-    # ------------------------------------------------------------------
-    def build_layers(self, groups: Sequence[FusionGroup],
-                     units: Sequence[object],
-                     arep: AnalyzeRepresentation,
-                     precision: DataType) -> List[BackendLayer]:
-        layers: List[BackendLayer] = []
-        # input Reformat copies: fp32 host tensors -> fp16 device format
-        aliases = {}
-        for t in arep.graph.inputs:
-            reformatted = f"{t.name} reformatted"
-            aliases[t.name] = reformatted
-            layers.append(BackendLayer(
-                name=f"Reformatting CopyNode for Input Tensor {t.name}",
-                kind=LayerKind.REFORMAT,
-                inputs=[t.name],
-                outputs=[reformatted],
-                true_alias=(t.name, reformatted),
-            ))
-        for group, unit in zip(groups, units):
-            inputs, outputs = self._unit_io(unit)
-            inputs = [aliases.get(t, t) for t in inputs]
-            opaque = any(
-                m.op_class() in _MYELIN_CLASSES
-                and m.op_type != "BatchNormalization"
-                for m in group.members)
-            if group.kind == GroupKind.POINTWISE or opaque:
-                if opaque:
-                    name = ("{ForeignNode[" + group.members[0].name
-                            + "..." + group.members[-1].name + "]}")
-                else:
-                    name = f"PWN({group.members[-1].name})"
-                exposed = None          # io only: Myelin tells you nothing
-            else:
-                name = " + ".join(m.name for m in group.members)
-                exposed = [m.name for m in group.members]
-            layers.append(BackendLayer(
-                name=name,
-                kind=LayerKind.EXECUTION,
-                inputs=inputs,
-                outputs=list(outputs),
-                exposed_member_names=exposed,
-                true_member_names=[m.name for m in group.members],
-                true_folded_names=list(group.folded),
-            ))
-        # output Reformat copies back to the host-facing format
-        for t in arep.graph.outputs:
-            reformatted = f"{t.name} reformatted (output)"
-            layers.append(BackendLayer(
-                name=f"Reformatting CopyNode for Output Tensor {t.name}",
-                kind=LayerKind.REFORMAT,
-                inputs=[t.name],
-                outputs=[reformatted],
-                true_alias=(t.name, reformatted),
-            ))
-        return layers
+        return _absorb(groups, arep, target_of)

@@ -19,8 +19,7 @@ from typing import List, Union
 from ..analysis.arep import AnalyzeRepresentation
 from ..analysis.oarep import OptimizedAnalyzeRepresentation
 from ..analysis.opdefs import OpClass
-from ..backends import Backend, backend_by_name, map_layers
-from ..backends.mapping import ReformatUnit
+from ..backends import Backend, ReformatUnit, backend_by_name, map_layers
 from ..hardware.counters import CounterProfiler
 from ..hardware.specs import HardwareSpec, platform
 from ..ir.graph import Graph

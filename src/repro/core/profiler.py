@@ -25,10 +25,9 @@ from typing import Dict, Optional, Union
 
 from ..analysis.cache import AnalysisCache, MappedEntry, shared_analysis_cache
 from ..analysis.oarep import OptimizedAnalyzeRepresentation
-from ..analysis.opdefs import OpClass
 from ..backends import Backend, backend_by_name, map_layers
 from ..backends.base import BackendModel, layer_latency
-from ..backends.mapping import MappedLayer, ReformatUnit
+from ..backends.mapping import MappedLayer
 from ..hardware.counters import CounterProfiler
 from ..hardware.latency import LatencySimulator
 from ..hardware.specs import HardwareSpec, platform, spec_cache_key
@@ -245,18 +244,13 @@ class Profiler:
                         layers=len(mapped)):
                 measurements = self._measurements(mapped, arep)
                 for lp, meas in zip(layers, measurements):
-                    if meas is not None:
-                        lp.flop = meas.hardware_flop
-                        total = lp.read_bytes + lp.write_bytes
-                        ratio = meas.memory_bytes / total if total > 0 \
-                            else 0.0
-                        lp.read_bytes *= ratio
-                        lp.write_bytes *= ratio
+                    lp.flop = meas.hardware_flop
+                    total = lp.read_bytes + lp.write_bytes
+                    ratio = meas.memory_bytes / total if total > 0 else 0.0
+                    lp.read_bytes *= ratio
+                    lp.write_bytes *= ratio
                 overhead = self.counters.profiling_seconds(
-                    [m for m in measurements if m is not None],
-                    [lp.latency_seconds
-                     for lp, m in zip(layers, measurements)
-                     if m is not None])
+                    measurements, [lp.latency_seconds for lp in layers])
         batch = _graph_batch_size(graph)
         e2e = EndToEnd(
             latency_seconds=sum(l.latency_seconds for l in layers),
@@ -302,21 +296,12 @@ class Profiler:
         )
 
     def _measurements(self, mapped, arep):
-        out = []
-        for m in mapped:
-            if isinstance(m.unit, ReformatUnit):
-                cost = m.unit.cost(self.precision)
-                out.append(self.counters.measure(
-                    m.layer.name, [], arep.tensor, cost.memory_bytes,
-                    OpClass.DATA_MOVEMENT, self.precision))
-                continue
-            cost = m.unit.cost(self.precision)
-            folded = getattr(m.unit, "folded", set())
-            out.append(self.counters.measure(
-                m.layer.name, m.unit.member_nodes, arep.tensor,
-                cost.memory_bytes, m.unit.op_class(), self.precision,
-                folded=folded))
-        return out
+        return [self.counters.measure(
+                    m.layer.name, m.unit.member_nodes, arep.tensor,
+                    m.unit.cost(self.precision).memory_bytes,
+                    m.unit.op_class(), self.precision,
+                    folded=getattr(m.unit, "folded", ()))
+                for m in mapped]
 
     # ------------------------------------------------------------------
     # chart helpers

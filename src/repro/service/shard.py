@@ -35,6 +35,7 @@ process.
 """
 from __future__ import annotations
 
+import functools
 import multiprocessing
 import signal
 import threading
@@ -70,25 +71,15 @@ def fleet_context() -> multiprocessing.context.BaseContext:
     return multiprocessing.get_context()
 
 
-def _default_shard_runner(analysis_cache) -> Callable[[Any], Any]:
-    """A profiler runner around the shard's private analysis cache.
+def shard_main(conn, parent_conn,
+               runner: Optional[Callable[[Any], Any]]) -> None:
+    """Child-process loop: tasks in, results out, until EOF or stop.
 
-    Imported lazily inside the child so a synthetic-runner fleet (tests,
-    benchmarks) never pays for profiler imports.
+    ``parent_conn`` is the parent's end of this shard's pipe, which the
+    fork duplicated into the child; it is closed first so that the
+    parent's death reaches ``conn.recv()`` as EOF.
     """
-    from ..core.profiler import Profiler
-
-    def run(request: Any):
-        profiler = Profiler(request.backend, request.platform,
-                            request.precision, request.metric_source,
-                            analysis_cache=analysis_cache)
-        return profiler.profile(request.graph)
-
-    return run
-
-
-def shard_main(conn, runner: Optional[Callable[[Any], Any]]) -> None:
-    """Child-process loop: tasks in, results out, until EOF or stop."""
+    parent_conn.close()
     try:
         # a foreground Ctrl-C hits the whole process group; shutdown is
         # the parent's job (stop message, then kill), so the child must
@@ -99,10 +90,13 @@ def shard_main(conn, runner: Optional[Callable[[Any], Any]]) -> None:
     from ..analysis.cache import AnalysisCache
 
     # graph references resolve against this cache, which the default
-    # runner profiles through
+    # runner profiles through; the profiler is imported lazily so a
+    # synthetic-runner fleet (tests, benchmarks) never pays for it
     analysis_cache = AnalysisCache()
     if runner is None:
-        runner = _default_shard_runner(analysis_cache)
+        from .server import default_runner
+        runner = functools.partial(default_runner,
+                                   analysis_cache=analysis_cache)
     while True:
         try:
             msg = conn.recv()
@@ -191,7 +185,7 @@ class ShardHandle:
         parent_conn, child_conn = ctx.Pipe(duplex=True)
         proc = ctx.Process(
             target=shard_main,
-            args=(child_conn, self._runner),
+            args=(child_conn, parent_conn, self._runner),
             name=f"proof-shard-{self.shard_id}", daemon=True)
         proc.start()
         child_conn.close()

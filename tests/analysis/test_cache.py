@@ -332,7 +332,7 @@ class TestAssemblePath:
         import repro.backends.base as backend_base
         import repro.core.profiler as profiler_module
         from repro.analysis.layerstore import LayerStore
-        from repro.backends.simruntime import SimulatedRuntime
+        from repro.backends import Backend
         store = LayerStore()
         first = self._digest("fp16",
                              analysis_cache=AnalysisCache(layer_store=store))
@@ -344,7 +344,7 @@ class TestAssemblePath:
                 raise AssertionError(f"{name} ran on an exact repeat")
             return call
 
-        monkeypatch.setattr(SimulatedRuntime, "compile", forbidden("compile"))
+        monkeypatch.setattr(Backend, "compile", forbidden("compile"))
         for module in (backend_base, profiler_module):
             monkeypatch.setattr(module, "layer_latency",
                                 forbidden("layer_latency"))

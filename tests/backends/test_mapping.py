@@ -5,21 +5,24 @@ The integration tests compare the mapper's output against the
 simulators' ground truth over real zoo models for all three runtimes —
 the central correctness claim of the paper's §3.3.
 """
+import dataclasses
+
 import pytest
 
 from repro.analysis.arep import AnalyzeRepresentation
 from repro.analysis.oarep import MappingError, OptimizedAnalyzeRepresentation
-from repro.backends import (OnnxRuntimeSim, OpenVINOSim, TensorRTSim,
-                            map_layers, mapper_for)
+from repro.backends import (OnnxRuntimeSim, OpenVINOSim, ReformatUnit,
+                            TensorRTSim, map_layers, mapper_for)
 from repro.backends.base import BackendLayer, LayerKind
 from repro.backends.mapping import (LayerMapper, OnnxRuntimeMapper,
-                                    OpenVINOMapper, ReformatUnit,
-                                    TensorRTMapper, infer_folded)
+                                    OpenVINOMapper, TensorRTMapper,
+                                    infer_folded)
 from repro.hardware.specs import platform
 from repro.ir.builder import GraphBuilder
 from repro.ir.tensor import DataType
 from repro.models import (mobilenet_v2, resnet50, shufflenet_v2,
                           shufflenet_v2_modified, vit)
+from repro.models.registry import build_model
 
 A100 = platform("a100")
 XEON = platform("xeon6330")
@@ -78,7 +81,6 @@ def test_mapper_registry():
     assert isinstance(mapper_for("trt-sim"), TensorRTMapper)
     assert isinstance(mapper_for("ort-sim"), OnnxRuntimeMapper)
     assert isinstance(mapper_for("ov-sim"), OpenVINOMapper)
-    assert type(mapper_for("other")) is LayerMapper
 
 
 def test_infer_folded_detects_bn_after_conv():
@@ -168,3 +170,26 @@ def test_bidirectional_lookup_via_report():
     assert layer is not None
     assert conv_name in layer.model_layers
     assert report.layer_by_model_op("no-such-layer") is None
+
+
+def _mapped_names(model, graph):
+    oar = OptimizedAnalyzeRepresentation(
+        AnalyzeRepresentation(graph, model.precision))
+    return [(m.member_names, sorted(getattr(m.unit, "folded", ())))
+            for m in map_layers(model, oar)]
+
+
+@pytest.mark.parametrize("backend,spec", [
+    (TensorRTSim, A100), (OnnxRuntimeSim, XEON), (OpenVINOSim, XEON)])
+@pytest.mark.parametrize("key", ["resnet50", "mobilenetv2-10", "vit-tiny"])
+def test_mapping_reads_no_ground_truth(backend, spec, key):
+    """Blanking every simulation-truth field leaves the mapping as it
+    is: layer mapping sees only what a real runtime exposes."""
+    graph = build_model(key, batch_size=1)
+    model = backend().compile(graph, spec, DataType.FLOAT16)
+    intact = _mapped_names(model, graph)
+    blind = dataclasses.replace(model, truth_units=None, layers=[
+        dataclasses.replace(layer, true_member_names=[],
+                            true_folded_names=[], true_alias=None)
+        for layer in model.layers])
+    assert _mapped_names(blind, graph) == intact

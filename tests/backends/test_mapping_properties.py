@@ -12,9 +12,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.analysis.arep import AnalyzeRepresentation
 from repro.analysis.oarep import OptimizedAnalyzeRepresentation
-from repro.backends import (OnnxRuntimeSim, OpenVINOSim, TensorRTSim,
-                            map_layers)
-from repro.backends.mapping import ReformatUnit
+from repro.backends import (OnnxRuntimeSim, OpenVINOSim, ReformatUnit,
+                            TensorRTSim, map_layers)
 from repro.hardware.specs import platform
 from repro.ir.builder import GraphBuilder
 from repro.ir.tensor import DataType

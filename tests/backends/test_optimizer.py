@@ -2,8 +2,8 @@
 import pytest
 
 from repro.analysis.arep import AnalyzeRepresentation
-from repro.backends.optimizer import (FusionConfig, FusionGroup,
-                                      FusionPlanner, GroupKind)
+from repro.backends.optimizer import (MAX_GROUP_SIZE, FusionConfig,
+                                      FusionGroup, FusionPlanner, GroupKind)
 from repro.ir.builder import GraphBuilder
 
 
@@ -87,15 +87,6 @@ class TestConvEpilogue:
         conv_group = next(gr for gr in groups if gr.kind == GroupKind.CONV)
         assert [m.op_type for m in conv_group.members] == ["Conv"]
 
-    def test_none_config_fuses_nothing(self):
-        def build(b):
-            x = b.input("x", (1, 4, 8, 8))
-            y = b.conv(x, 4, 3, padding=1)
-            y = b.batchnorm(y)
-            return b.relu(y)
-        g, ar, groups = plan_for(build, FusionConfig.none())
-        assert all(gr.size == 1 for gr in groups)
-
 
 class TestMatMulGroups:
     def test_matmul_bias_fuses(self):
@@ -141,8 +132,7 @@ class TestPointwiseRegions:
             a2 = b.add(a1, mm)                     # Add2: depends on MatMul
             return a2
         g, ar, groups = plan_for(
-            build, FusionConfig(pointwise_includes_normalization=True,
-                                fuse_bias_add=True))
+            build, FusionConfig(pointwise_includes_normalization=True))
         for gr in groups:
             types = [m.op_type for m in gr.members]
             if "MatMul" in types:
@@ -170,8 +160,9 @@ class TestPointwiseRegions:
             for _ in range(30):
                 y = b.relu(y)
             return y
-        g, ar, groups = plan_for(build, FusionConfig(max_group_size=10))
-        assert all(gr.size <= 10 for gr in groups)
+        g, ar, groups = plan_for(build)
+        assert MAX_GROUP_SIZE == 24
+        assert sorted(gr.size for gr in groups) == [6, 24]
 
     def test_noop_group_kind(self):
         def build(b):

@@ -1,11 +1,10 @@
-"""SimulatedRuntime shared-machinery tests (no-op merging, timing)."""
+"""Backend compile-template tests (no-op merging, timing)."""
 import pytest
 
 from repro.analysis.arep import AnalyzeRepresentation
 from repro.analysis.oarep import FusedOp
-from repro.backends import TensorRTSim
+from repro.backends import ReformatUnit, TensorRTSim
 from repro.backends.optimizer import FusionConfig, FusionPlanner, GroupKind
-from repro.backends.simruntime import SimulatedRuntime
 from repro.hardware.specs import platform
 from repro.ir.builder import GraphBuilder
 from repro.ir.tensor import DataType
@@ -21,7 +20,7 @@ def test_merge_noop_into_consumer():
     g = b.finish(y)
     ar = AnalyzeRepresentation(g)
     groups = FusionPlanner(ar, FusionConfig.aggressive()).plan()
-    merged = SimulatedRuntime._merge_noops_into_neighbours(groups, ar)
+    merged = TensorRTSim._merge_noops_into_neighbours(groups, ar)
     assert all(gr.kind != GroupKind.NOOP for gr in merged)
     softmax_group = next(gr for gr in merged
                          if any(m.op_type == "Softmax" for m in gr.members))
@@ -36,7 +35,7 @@ def test_merge_trailing_noop_into_producer():
     g = b.finish(out)
     ar = AnalyzeRepresentation(g)
     groups = FusionPlanner(ar, FusionConfig.aggressive()).plan()
-    merged = SimulatedRuntime._merge_noops_into_neighbours(groups, ar)
+    merged = TensorRTSim._merge_noops_into_neighbours(groups, ar)
     assert len(merged) == 1
     assert {m.op_type for m in merged[0].members} == {"Softmax", "Reshape"}
 
@@ -66,7 +65,7 @@ def test_compile_times_over_the_given_analyze_representation():
     for unit in model.truth_units:
         if isinstance(unit, FusedOp):
             members.update(id(m) for m in unit.members)
-        elif not isinstance(unit, tuple):          # ("reformat", info)
+        elif not isinstance(unit, ReformatUnit):
             members.add(id(unit))
     assert members == {id(op) for op in arep.ops}
     # same latencies as a compile that builds its own AR

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from repro.backends.simruntime import SimulatedRuntime
+from repro.backends import Backend
 from repro.core.profiler import Profiler
 from repro.distribution import (BOUND_COMMUNICATION, BOUND_COMPUTE,
                                 BOUND_MEMORY, DistributionReport, NVLINK,
@@ -97,7 +97,7 @@ class TestSweep:
             raise AssertionError("the partition sweep re-ran analysis")
 
         monkeypatch.setattr(Profiler, "profile", refuse)
-        monkeypatch.setattr(SimulatedRuntime, "compile", refuse)
+        monkeypatch.setattr(Backend, "compile", refuse)
         base = (sum(l.flop for l in resnet_report.layers),
                 sum(l.read_bytes for l in resnet_report.layers),
                 sum(l.write_bytes for l in resnet_report.layers))

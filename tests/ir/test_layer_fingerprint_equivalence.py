@@ -26,8 +26,7 @@ import pytest
 
 from repro.analysis.arep import AnalyzedOp, AnalyzeRepresentation
 from repro.analysis.oarep import FusedOp, OptimizedAnalyzeRepresentation
-from repro.backends import backend_by_name, map_layers
-from repro.backends.mapping import ReformatUnit
+from repro.backends import ReformatUnit, backend_by_name, map_layers
 from repro.check.corpus import load_corpus
 from repro.check.fuzz import fuzz_graph
 from repro.hardware.specs import platform
@@ -191,9 +190,6 @@ def pool_units():
             mapped = map_layers(compiled,
                                 OptimizedAnalyzeRepresentation(arep))
             for unit in compiled.truth_units:
-                if isinstance(unit, tuple):      # ("reformat", info)
-                    info = unit[1]
-                    unit = ReformatUnit("truth", info)
                 pairs.append((ref_unit_fingerprint(unit, arep),
                               unit.layer_fingerprint()))
             for m in mapped:

@@ -4,13 +4,20 @@ Used by the test suite to check that graphs are semantically coherent
 (shape inference agrees with actual execution) and by examples that
 want real numbers.  It is a *reference* implementation: clarity over
 speed, but the hot paths (convolution, matmul) are still vectorized —
-convolution lowers to im2col + one big ``matmul`` per group, which is
-exactly the data layout trick production kernels use.
+convolution lowers to one im2col over all input channels and one
+(batched, when grouped) ``matmul``, which is exactly the data layout
+trick production kernels use.
+
+Weights come from :func:`seeded_weights`: one read-only set per graph
+and seed, drawn once and shared by every executor and
+:class:`~repro.ir.plan.ExecutionPlan` built over that graph.
 """
 from __future__ import annotations
 
 import math
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+import threading
+from types import MappingProxyType
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -20,7 +27,7 @@ from .node import Node
 from .shape_inference import _pool_output_size, _same_pads, _shape_slice_bounds
 from .tensor import DataType
 
-__all__ = ["ExecutionError", "Executor"]
+__all__ = ["ExecutionError", "Executor", "seeded_weights"]
 
 
 class ExecutionError(RuntimeError):
@@ -91,7 +98,7 @@ def _im2col(x: np.ndarray, kh: int, kw: int, sh: int, sw: int,
     n, c, h, w = x.shape
     if xp is None and (ph0 or ph1 or pw0 or pw1):
         # zero border + interior copy: np.pad's values at a fraction of
-        # its per-call overhead (the reference conv calls this per group)
+        # its per-call overhead
         xp = np.zeros((n, c, h + ph0 + ph1, w + pw0 + pw1), dtype=x.dtype)
     if xp is None:
         xp = x
@@ -127,16 +134,20 @@ def _exec_conv(node: Node, ins):
     ph0, pw0, ph1, pw1 = pads
     n, c_in = x.shape[:2]
     c_out = w.shape[0]
-    cg_in, cg_out = c_in // group, c_out // group
+    cg_out = c_out // group
     acc = x.dtype if x.dtype == np.float64 else np.float32
-    outs = []
-    for g in range(group):
-        xg = x[:, g * cg_in:(g + 1) * cg_in]
-        wg = w[g * cg_out:(g + 1) * cg_out].reshape(cg_out, -1).astype(acc)
-        cols, out_h, out_w = _im2col(xg, kh, kw, sh, sw, ph0, pw0, ph1, pw1, dh, dw)
-        y = np.matmul(wg[None], cols.astype(acc))  # (n, cg_out, oh*ow)
-        outs.append(y.reshape(n, cg_out, out_h, out_w))
-    y = np.concatenate(outs, axis=1) if group > 1 else outs[0]
+    cols, out_h, out_w = _im2col(x, kh, kw, sh, sw, ph0, pw0, ph1, pw1, dh, dw)
+    hw = out_h * out_w
+    if group == 1:
+        y = np.matmul(w.reshape(c_out, -1).astype(acc)[None], cols.astype(acc))
+    else:
+        # the (n, C*kh*kw, M) columns regroup by reshape into per-group
+        # (cg_in*kh*kw, M) blocks; one batched matmul runs the same
+        # per-group GEMMs a loop over groups would
+        colg = cols.reshape(n, group, -1, hw).transpose(1, 0, 2, 3)
+        wg = w.reshape(group, cg_out, -1).astype(acc)
+        y = np.matmul(wg[:, None], colg.astype(acc)).transpose(1, 0, 2, 3)
+    y = y.reshape(n, c_out, out_h, out_w)
     if b is not None:
         y = y + b.reshape(1, -1, 1, 1).astype(acc)
     return _one(_apply_node_epilogue(node, y.astype(x.dtype)))
@@ -922,13 +933,58 @@ def _exec_argreduce(node: Node, ins):
 # ---------------------------------------------------------------------------
 # driver
 # ---------------------------------------------------------------------------
+#: the one weight set held between runtimes, ``(key, weights)``
+_held_weights: Optional[Tuple[tuple, Mapping[str, np.ndarray]]] = None
+_held_lock = threading.Lock()
+
+
+def seeded_weights(graph: Graph, seed: int = 0) -> Mapping[str, np.ndarray]:
+    """The graph's weights drawn from ``np.random.default_rng(seed)``.
+
+    The stream walks the initializers in graph order through
+    :meth:`~repro.ir.tensor.Initializer.materialize`, so an initializer
+    that carries ``data`` consumes no draw and maps to its own array.
+    Freshly drawn arrays are read-only: every executor and plan built
+    over the graph with this seed shares them.  One set is held at a
+    time, keyed by the seed and each initializer's name, shape, dtype
+    and ``data`` object, so a :meth:`Graph.copy` shares the set and a
+    graph whose initializer data changed draws afresh.  The held set is
+    released before the next one is drawn, so the memo never keeps two
+    sets alive at once.
+    """
+    global _held_weights
+    key = (seed, tuple(
+        (name, init.info.shape, init.info.dtype,
+         None if init.data is None else id(init.data))
+        for name, init in graph.initializers.items()))
+    with _held_lock:
+        # the held set references every keyed ``data`` array, so their
+        # ids cannot be reused while the key is compared against them
+        if _held_weights is not None and _held_weights[0] == key:
+            return _held_weights[1]
+        _held_weights = None
+        rng = np.random.default_rng(seed)
+        weights: Dict[str, np.ndarray] = {}
+        for name, init in graph.initializers.items():
+            arr = init.materialize(rng)
+            if init.data is None:
+                arr.flags.writeable = False
+            weights[name] = arr
+        _held_weights = (key, MappingProxyType(weights))
+        return _held_weights[1]
+
+
 class Executor:
-    """Executes a graph with cached materialized weights."""
+    """Executes a graph on its seeded weight set (:func:`seeded_weights`).
+
+    An executor keeps the set it first ran with; a graph that gained
+    initializers since then gets a fresh set on the next run.
+    """
 
     def __init__(self, graph: Graph, seed: int = 0) -> None:
         self.graph = graph
-        self.rng = np.random.default_rng(seed)
-        self._weights: Dict[str, np.ndarray] = {}
+        self.seed = seed
+        self._weights: Mapping[str, np.ndarray] = {}
 
     def _observe(self, node: Node, ins: List[Optional[np.ndarray]],
                  outs: List[np.ndarray]) -> None:
@@ -951,9 +1007,9 @@ class Executor:
                 raise ExecutionError(
                     f"feed {t.name!r}: shape {arr.shape} != declared {t.shape}")
             env[t.name] = arr
-        for name, init in self.graph.initializers.items():
-            if name not in self._weights:
-                self._weights[name] = init.materialize(self.rng)
+        if not self._weights.keys() >= self.graph.initializers.keys():
+            self._weights = seeded_weights(self.graph, self.seed)
+        for name in self.graph.initializers:
             env[name] = self._weights[name]
         for node in self.graph.toposort():
             fn = _EXEC.get(node.op_type)

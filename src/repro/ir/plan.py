@@ -1,9 +1,9 @@
 """Compiled execution plans for the reference executor.
 
 :meth:`repro.ir.executor.Executor.run` resolves everything on every call:
-it re-materializes weights, re-runs kernel dispatch, re-parses node
-attributes, re-resolves padding, and allocates fresh im2col / padding
-scratch for every convolution.  That is the right trade-off for a
+it re-runs kernel dispatch, re-parses node attributes, re-resolves
+padding, and allocates fresh im2col / padding scratch for every
+convolution.  That is the right trade-off for a
 one-shot reference check, but repeated runs of one graph — the
 differential harness (:mod:`repro.check`), ``proof run --execute`` —
 redo work that is invariant across runs.  Profiling never executes a
@@ -12,10 +12,11 @@ from the backend, so nothing on the profile path compiles a plan.
 
 :class:`ExecutionPlan` moves the invariant work to compile time:
 
-* **weights are drawn once** — the plan owns its weight arrays, drawn
-  at compile time from the seeded generator in the original graph's
-  initializer order (the exact :class:`~repro.ir.executor.Executor`
-  weight stream); the caller's graph is never written to;
+* **weights are drawn once** — the plan keeps the read-only
+  :func:`~repro.ir.executor.seeded_weights` set that the
+  :class:`~repro.ir.executor.Executor` runs on, so an executor and the
+  plans of one graph and seed share one draw; the caller's graph is
+  never written to;
 * **constant subgraphs fold ahead of time** — the plan compiles against
   a copy rewritten by :func:`repro.ir.passes.fold_shape_constants`, so
   statically-known ``Shape`` chains and other constant subgraphs never
@@ -30,7 +31,7 @@ from the backend, so nothing on the profile path compiles a plan.
   right after its last consumer, bounding peak memory to the live set
   instead of the whole tensor table;
 * **scratch buffers** — convolution im2col/padding buffers and pooling
-  window stacks are allocated once per thread and reused across runs
+  window stacks are allocated once per plan and reused across runs
   (padding borders are written once; only the interior changes).
 
 Plans compile against a graph rewritten by the leveled optimization
@@ -61,7 +62,7 @@ Every level runs the same steps through the same loop, so traced runs
 the level really runs, flush included.
 
 A level-0/1 plan's results are bit-identical to the legacy
-``Executor.run()`` path: weights are the same seeded stream, and the
+``Executor.run()`` path: weights are the same shared set, and the
 specialised steps perform exactly the legacy arithmetic on reused
 scratch buffers.  Scratch buffers belong to the plan and are reused by
 every run, so a plan is for one thread at a time: each caller compiles
@@ -79,7 +80,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from ..obs.trace import get_tracer
 from .executor import (ExecutionError, _EXEC, _avgpool_divisor,
                        _fused_stages, _im2col, _pool_geometry,
-                       _resolve_pads_for_shape)
+                       _resolve_pads_for_shape, seeded_weights)
 from .fusion import decode_op
 from .graph import Graph
 from .node import Node
@@ -254,12 +255,9 @@ class ExecutionPlan:
         work = graph.copy()
         if not work.value_info:
             infer_shapes(work)
-        # draw the seeded weight stream once — original initializer
-        # order, original generator, the exact Executor stream — into
-        # arrays the plan owns
-        rng = np.random.default_rng(seed)
-        weights = {name: init.materialize(rng)
-                   for name, init in graph.initializers.items()}
+        # the read-only seeded weight set the executor runs on, shared
+        # with every other runtime built over this graph and seed
+        weights = seeded_weights(graph, seed)
         if self.optimize_level >= 2:
             # weight-materializing passes (BN folding) run next: pin the
             # drawn weights on the work copy so folded parameters derive
@@ -499,8 +497,7 @@ class ExecutionPlan:
                 taps = [np.ascontiguousarray(w2[:, k].reshape(1, c_out, 1, 1))
                         for k in range(kh * kw)]
                 return w2, taps, bias
-            # (group, cg_out, cg_in*kh*kw): same values as the legacy
-            # wt[g*cg_out:(g+1)*cg_out].reshape(cg_out, -1)
+            # (group, cg_out, cg_in*kh*kw): the executor's weight view
             return wt.reshape(group, cg_out, -1).astype(acc, copy=False), \
                 None, bias
 
@@ -553,11 +550,8 @@ class ExecutionPlan:
                     np.copyto(sb, x[:, :, ::sh, ::sw])
                     col2d = sb.reshape(n, c_in, hw)
             else:
-                # one im2col over all channels: the (n, C, kh, kw, oH,
-                # oW) buffer regroups to per-group column blocks by pure
-                # reshape, so every group sees exactly the values the
-                # legacy per-group _im2col produced — without `group`
-                # pad/gather passes
+                # one im2col over all channels into reused scratch: the
+                # same columns the executor's conv builds
                 xp = _buffer(
                     scratch, ("conv.xp", id(node)),
                     (n, c_in, h + ph0 + ph1, w_dim + pw0 + pw1),
@@ -570,8 +564,8 @@ class ExecutionPlan:
                 mat = col2d if col2d.dtype == acc else col2d.astype(acc)
                 np.matmul(w_all, mat, out=y.reshape(n, c_out, hw))
                 return
-            # (group, n, cg_in*kh*kw, M) view; batched matmul runs the
-            # same per-group GEMMs the legacy loop did
+            # (group, n, cg_in*kh*kw, M) view; one batched matmul, the
+            # executor's grouped conv GEMMs
             colg = col2d.reshape(n, group, -1, hw).transpose(1, 0, 2, 3)
             mat = colg if colg.dtype == acc else colg.astype(acc)
             yg = _buffer(scratch, ("conv.yg", id(node)), (group, n, cg_out, hw),

@@ -20,7 +20,6 @@ from typing import Dict, List, Optional, Sequence, Set
 
 from ..analysis.arep import AnalyzedOp, AnalyzeRepresentation
 from ..analysis.opdefs import OpClass
-from ..ir.fusion import FUSABLE_ACTIVATIONS
 
 __all__ = ["FusionConfig", "FusionGroup", "FusionPlanner", "GroupKind",
            "MAX_GROUP_SIZE"]
@@ -79,11 +78,9 @@ class FusionGroup:
         return len(self.members)
 
 
-#: activations a conv/GEMM epilogue can absorb, as single nodes.
-#: Shared with the graph-rewriting passes (repro.ir.passes) so the
-#: numpy runtime executes exactly the fused structure this planner
-#: models — repro.ir.fusion is the single source of truth.
-_SIMPLE_ACTIVATIONS = FUSABLE_ACTIVATIONS
+#: activations a conv/GEMM epilogue can absorb, as single nodes
+_SIMPLE_ACTIVATIONS = {"Relu", "LeakyRelu", "Clip", "HardSwish",
+                       "HardSigmoid", "Sigmoid", "Tanh", "Elu"}
 
 _POINTWISE_CLASSES = {OpClass.ELEMENTWISE, OpClass.ZERO_COST}
 

@@ -1,13 +1,14 @@
 """Differential-testing and invariant-checking harness (``proof check``).
 
-After PR 2–4 the repo computes the same answers through four redundant
-paths — the legacy reference executor, compiled O0/O1/O2 execution
-plans, the analytical AR/OAR cost model, and memoized/cached results.
-This package systematically proves they agree:
+The repo computes the same answers through redundant paths — the
+reference executor, compiled O0-O3 execution plans (both run the
+model's own ONNX nodes), the analytical AR/OAR cost model, and
+memoized/cached results.  This package systematically proves they
+agree:
 
 - :mod:`repro.check.fuzz` — seeded adversarial graph fuzzer and the
-  differential runner (executor vs O0/O1/O2 plans; bit-identity at O1,
-  tolerance at O2);
+  differential runner (executor vs O0-O3 plans; bit-identity at O0/O1,
+  tolerance at O2/O3);
 - :mod:`repro.check.invariants` — mapping bijectivity, fused-cost
   additivity, cache round-trip digests, and the instrumented counting
   executor vs analytical FLOP/byte predictions;

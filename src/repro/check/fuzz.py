@@ -1,13 +1,13 @@
 """Seeded random-graph fuzzer + differential runner.
 
-PR 2–4 gave the repo redundant ways to execute a graph: the legacy
-reference :class:`~repro.ir.executor.Executor` and compiled
+The repo executes a graph two ways: the reference
+:class:`~repro.ir.executor.Executor` and compiled
 :class:`~repro.ir.plan.ExecutionPlan` objects at optimization levels
-O0/O1/O2, later joined by O3 (O2's rewrites and steps plus a
-calibrated subnormal flush).  O0 and O1 rewrites are
-documented bit-exact; O2 relaxes numerics (BatchNorm folding), so it
-only has to agree within tolerance, and O3 inherits exactly that
-budget — its extra machinery is execution strategy, not arithmetic.
+O0-O3, both running the model's own ONNX nodes.  O0 and O1 fold shape
+constants only and are bit-exact; O2 relaxes numerics (BatchNorm
+folding), so it only has to agree within tolerance, and O3 inherits
+exactly that budget — its extra machinery (O2's steps plus a
+calibrated subnormal flush) is execution strategy, not arithmetic.
 
 :func:`fuzz_graph` composes small Conv/Gemm/pool/elementwise/reshape
 subgraphs with deliberately adversarial attributes — asymmetric pads,
@@ -242,16 +242,16 @@ class _Gen:
         op = str(rng.choice(["Add", "Mul", "Sub", "Max", "Min"]))
         mode = rng.integers(4)
         inits: List[Initializer] = []
-        if mode == 0:       # tensor (op) itself: multi-consumer + CSE bait
+        if mode == 0:       # tensor (op) itself: a multi-consumer tensor
             other = src
-        elif mode == 1:     # scalar constant: epilogue-fusion bait
+        elif mode == 1:     # scalar constant operand
             cname = self.fresh("c")
             val = np.float32(rng.normal())
             inits.append(Initializer(
                 TensorInfo(cname, (), DataType.FLOAT32), np.asarray(val)))
             other = cname
         elif mode == 2 and self.info(src).rank == 4:
-            # per-channel broadcast constant (never epilogue-fusable)
+            # per-channel broadcast constant
             cname = self.fresh("cc")
             c = self.info(src).shape[1]
             inits.append(Initializer(
@@ -440,7 +440,7 @@ class _Gen:
             # degenerate fallback so every index yields a runnable graph
             assert self.add_unary()
         # outputs: every leaf tensor, plus occasionally a non-leaf
-        # intermediate (an executor/pass must never drop or merge it)
+        # intermediate (no runtime may drop or merge it)
         consumed = {i for n in self.g.nodes for i in n.inputs if i}
         produced = [o for n in self.g.nodes for o in n.outputs]
         leaves = [o for o in produced if o not in consumed]

@@ -84,7 +84,7 @@ def build_parser() -> argparse.ArgumentParser:
                      choices=[0, 1, 2, 3],
                      help="plan optimization level for --execute: "
                           "0 = shape-constant folding only, "
-                          "1 = bit-exact fusion + fast kernels (default), "
+                          "1 = + bit-exact fast kernels (default), "
                           "2 = + BatchNorm folding (numerics-relaxed), "
                           "3 = + calibrated subnormal flush")
     run.add_argument("--execute", action="store_true",

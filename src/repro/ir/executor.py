@@ -6,7 +6,9 @@ want real numbers.  It is a *reference* implementation: clarity over
 speed, but the hot paths (convolution, matmul) are still vectorized —
 convolution lowers to one im2col over all input channels and one
 (batched, when grouped) ``matmul``, which is exactly the data layout
-trick production kernels use.
+trick production kernels use.  It executes the model's own ONNX
+nodes, one kernel per op: operator fusion is modelled by the backend
+planner (:mod:`repro.backends.optimizer`), never executed.
 
 Weights come from :func:`seeded_weights`: one read-only set per graph
 and seed, drawn once and shared by every executor and
@@ -21,7 +23,6 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .fusion import decode_op
 from .graph import Graph
 from .node import Node
 from .shape_inference import _pool_output_size, _same_pads, _shape_slice_bounds
@@ -150,7 +151,7 @@ def _exec_conv(node: Node, ins):
     y = y.reshape(n, c_out, out_h, out_w)
     if b is not None:
         y = y + b.reshape(1, -1, 1, 1).astype(acc)
-    return _one(_apply_node_epilogue(node, y.astype(x.dtype)))
+    return _one(y.astype(x.dtype))
 
 
 def _pool_geometry(node: Node, shape: Sequence[int]):
@@ -265,8 +266,7 @@ def _exec_gap(node: Node, ins):
 def _exec_matmul(node: Node, ins):
     a, b = ins
     acc = np.float64 if a.dtype == np.float64 else np.float32
-    y = np.matmul(a.astype(acc), b.astype(acc)).astype(a.dtype)
-    return _one(_apply_node_epilogue(node, y))
+    return _one(np.matmul(a.astype(acc), b.astype(acc)).astype(a.dtype))
 
 
 @_register("Gemm")
@@ -282,7 +282,7 @@ def _exec_gemm(node: Node, ins):
     y = alpha * np.matmul(a.astype(acc), b.astype(acc))
     if len(ins) > 2 and ins[2] is not None:
         y = y + beta * ins[2].astype(acc)
-    return _one(_apply_node_epilogue(node, y.astype(ins[0].dtype)))
+    return _one(y.astype(ins[0].dtype))
 
 
 @_register("Einsum")
@@ -456,142 +456,6 @@ def _exec_binary(node: Node, ins):
     b_float = np.issubdtype(b.dtype, np.floating)
     dtype = a.dtype if a_float or not b_float else b.dtype
     return _one(np.asarray(_BINARY[node.op_type](a, b)).astype(dtype))
-
-
-# ---------------------------------------------------------------------------
-# fused elementwise epilogues (see repro.ir.fusion for the token grammar)
-# ---------------------------------------------------------------------------
-def _fast_sigmoid(y: np.ndarray) -> np.ndarray:
-    """``_UNARY["Sigmoid"]`` with in-place intermediates.
-
-    Computes the identical IEEE operation sequence (cast to float32,
-    clip to ±60, negate, exp, add 1, divide into 1) but reuses one
-    scratch buffer instead of allocating per step — the result is
-    bit-for-bit the lambda's.
-    """
-    x32 = y if y.dtype == np.float32 else y.astype(np.float32)
-    s = np.clip(x32, -60.0, 60.0)
-    np.negative(s, out=s)
-    np.exp(s, out=s)
-    s += 1.0
-    np.divide(1.0, s, out=s)
-    return s
-
-
-def _make_stage(op: str, params: Dict[str, object]):
-    """One compiled chain stage: ``fn(y, dtype) -> y``.
-
-    Each stage performs exactly the arithmetic the unfused node's
-    kernel would have (same lambdas or in-place sequences computing the
-    same floats, same operand order, same dtype restore), so a fused
-    chain is bit-identical to the node sequence it replaced — it only
-    skips the per-node astype copies when the dtype is already right,
-    which does not change a single bit.
-    """
-    if op == "SiLU":
-        tensor_left = params.get("side", "l") == "l"
-
-        def silu(y, dt):
-            s = _fast_sigmoid(y)
-            if s.dtype != dt:
-                s = s.astype(dt)
-            if s.dtype == y.dtype:
-                # multiplication is commutative bit-for-bit; s is a
-                # fresh scratch so accumulate into it
-                return np.multiply(y, s, out=s)
-            out = np.multiply(y, s) if tensor_left else np.multiply(s, y)
-            return out if out.dtype == dt else out.astype(dt)
-        return silu
-    if op == "Sigmoid":
-        def sigmoid(y, dt):
-            out = _fast_sigmoid(y)
-            return out if out.dtype == dt else out.astype(dt)
-        return sigmoid
-    if op == "HardSwish":
-        def hardswish(y, dt):
-            # x * clip(x/6 + 0.5, 0, 1) with in-place intermediates
-            t = y / 6.0
-            t += 0.5
-            np.clip(t, 0.0, 1.0, out=t)
-            if t.dtype == y.dtype:
-                out = np.multiply(y, t, out=t)
-            else:
-                out = y * t
-            return out if out.dtype == dt else out.astype(dt)
-        return hardswish
-    if op == "HardSigmoid":
-        def hardsigmoid(y, dt):
-            t = y / 6.0
-            t += 0.5
-            np.clip(t, 0.0, 1.0, out=t)
-            return t if t.dtype == dt else t.astype(dt)
-        return hardsigmoid
-    if op == "Clip":
-        lo, hi = params.get("lo"), params.get("hi")
-
-        def clip(y, dt):
-            if lo is not None:
-                y = np.maximum(y, np.asarray(lo, dt))
-            if hi is not None:
-                y = np.minimum(y, np.asarray(hi, dt))
-            return y
-        return clip
-    if op == "LeakyRelu":
-        alpha = params.get("alpha", 0.01)
-
-        def leaky(y, dt):
-            out = np.where(y >= 0, y, alpha * y)
-            return out if out.dtype == dt else out.astype(dt)
-        return leaky
-    if op == "Elu":
-        alpha = params.get("alpha", 1.0)
-
-        def elu(y, dt):
-            out = np.where(y > 0, y,
-                           alpha * (np.exp(np.minimum(y, 0.0)) - 1))
-            return out if out.dtype == dt else out.astype(dt)
-        return elu
-    if op in _BINARY:
-        fn = _BINARY[op]
-        const = params["c"]
-        tensor_left = params.get("side", "l") == "l"
-
-        def binop(y, dt):
-            c = np.asarray(const, dt)
-            out = fn(y, c) if tensor_left else fn(c, y)
-            return out if out.dtype == dt else out.astype(dt)
-        return binop
-    unary = _UNARY[op]
-
-    def stage(y, dt):
-        out = unary(y)
-        return out if out.dtype == dt else out.astype(dt)
-    return stage
-
-
-def _fused_stages(tokens: Sequence[str]):
-    """Compile fused-op tokens into a list of stage callables."""
-    return [_make_stage(*decode_op(tok)) for tok in tokens]
-
-
-def _apply_fused_ops(tokens: Sequence[str], y: np.ndarray) -> np.ndarray:
-    dt = y.dtype
-    for fn in _fused_stages(tokens):
-        y = fn(y, dt)
-    return y
-
-
-def _apply_node_epilogue(node: Node, y: np.ndarray) -> np.ndarray:
-    tokens = node.attrs.get("fused_ops")
-    return _apply_fused_ops(tokens, y) if tokens else y
-
-
-@_register("FusedElementwise")
-def _exec_fused_elementwise(node: Node, ins):
-    """Virtual op produced by ``fuse_elementwise_chains``: applies its
-    ``fused_ops`` token chain in one step."""
-    x = ins[0]
-    return _one(_apply_fused_ops(node.attrs.get("fused_ops") or (), x))
 
 
 @_register("Equal", "Greater", "Less", "GreaterOrEqual", "LessOrEqual")

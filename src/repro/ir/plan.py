@@ -23,10 +23,10 @@ from the backend, so nothing on the profile path compiles a plan.
   execute at run time;
 * **topological order, kernel dispatch and attribute parsing resolve
   once** — each node becomes a step with its kernel bound;
-* **one writer per specialised op** — Conv, Gemm, Max/AveragePool,
-  fused elementwise chains and the float32 copy/elementwise ops
-  compute into a fresh ``np.empty`` output at every level.  Every other
-  op runs the executor's kernel and keeps that kernel's array;
+* **one writer per specialised op** — Conv, Gemm, Max/AveragePool and
+  the float32 copy/elementwise ops compute into a fresh ``np.empty``
+  output at every level.  Every other op runs the executor's kernel
+  and keeps that kernel's array;
 * **liveness-based buffer release** — every intermediate is dropped
   right after its last consumer, bounding peak memory to the live set
   instead of the whole tensor table;
@@ -34,15 +34,15 @@ from the backend, so nothing on the profile path compiles a plan.
   window stacks are allocated once per plan and reused across runs
   (padding borders are written once; only the interior changes).
 
-Plans compile against a graph rewritten by the leveled optimization
-pipeline (:func:`repro.ir.passes.optimize_graph`):
+Plans run the model's own ONNX nodes: operator fusion is modelled by
+the backend planner (:mod:`repro.backends.optimizer`), never executed
+here.  They compile against a graph rewritten by the leveled pipeline
+(:func:`repro.ir.passes.optimize_graph`):
 
 * ``optimize=0`` (default) — plan-time shape-constant folding only,
   bit-identical to ``Executor.run()``;
-* ``optimize=1`` adds the bit-exact rewrites (conv/GEMM activation
-  fusion, elementwise chain fusion, CSE, DCE) and the bit-exact fast
-  paths — fused epilogues run inside the conv step, 1x1 convolutions
-  skip im2col and go straight to GEMM, Gemm caches its transposed /
+* ``optimize=1`` adds the bit-exact fast paths — 1x1 convolutions skip
+  im2col and go straight to GEMM, Gemm caches its transposed /
   accumulation-typed operands — still bit-identical;
 * ``optimize=2`` adds BatchNorm weight folding and the
   numerics-relaxed depthwise MAC-loop kernel; outputs then match the
@@ -78,10 +78,9 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from ..obs.trace import get_tracer
-from .executor import (ExecutionError, _EXEC, _avgpool_divisor,
-                       _fused_stages, _im2col, _pool_geometry,
-                       _resolve_pads_for_shape, seeded_weights)
-from .fusion import decode_op
+from .executor import (ExecutionError, _EXEC, _avgpool_divisor, _im2col,
+                       _pool_geometry, _resolve_pads_for_shape,
+                       seeded_weights)
 from .graph import Graph
 from .node import Node
 from .passes import optimize_graph
@@ -106,94 +105,6 @@ _OUT_BINARY = {"Add": np.add, "Sub": np.subtract, "Mul": np.multiply,
                "Pow": np.power}
 
 
-def _out_stages(tokens: Sequence[str]):
-    """Compile fused-op tokens into ``out=`` stages.
-
-    Returns ``(stages, needs_tmp)`` where each stage is
-    ``stage(src, dst, tmp)`` computing its result *into* ``dst`` without
-    disturbing ``src`` (``src is dst`` is allowed — every stage reads
-    ``src`` before the first write that could clobber it).  The stages
-    perform the exact IEEE operation sequences of
-    :func:`repro.ir.executor._make_stage` restricted to the all-float32
-    case, so they are bit-identical to the executor's epilogues.
-    Returns ``None`` when any token has no out-of-place form.
-    """
-    stages = []
-    needs_tmp = False
-    for tok in tokens:
-        op, params = decode_op(tok)
-        if op == "Relu":
-            def relu(src, dst, tmp):
-                np.maximum(src, 0, out=dst)
-            stages.append(relu)
-        elif op == "Sigmoid":
-            def sigmoid(src, dst, tmp):
-                np.clip(src, -60.0, 60.0, out=dst)
-                np.negative(dst, out=dst)
-                np.exp(dst, out=dst)
-                np.add(dst, 1.0, out=dst)
-                np.divide(1.0, dst, out=dst)
-            stages.append(sigmoid)
-        elif op == "SiLU":
-            needs_tmp = True
-
-            def silu(src, dst, tmp):
-                np.clip(src, -60.0, 60.0, out=tmp)
-                np.negative(tmp, out=tmp)
-                np.exp(tmp, out=tmp)
-                np.add(tmp, 1.0, out=tmp)
-                np.divide(1.0, tmp, out=tmp)
-                np.multiply(src, tmp, out=dst)
-            stages.append(silu)
-        elif op == "HardSwish":
-            needs_tmp = True
-
-            def hardswish(src, dst, tmp):
-                np.divide(src, 6.0, out=tmp)
-                np.add(tmp, 0.5, out=tmp)
-                np.clip(tmp, 0.0, 1.0, out=tmp)
-                np.multiply(src, tmp, out=dst)
-            stages.append(hardswish)
-        elif op == "HardSigmoid":
-            def hardsigmoid(src, dst, tmp):
-                np.divide(src, 6.0, out=dst)
-                np.add(dst, 0.5, out=dst)
-                np.clip(dst, 0.0, 1.0, out=dst)
-            stages.append(hardsigmoid)
-        elif op == "Clip":
-            lo, hi = params.get("lo"), params.get("hi")
-            lo32 = None if lo is None else np.float32(lo)
-            hi32 = None if hi is None else np.float32(hi)
-            if lo32 is not None and hi32 is not None:
-                def clip(src, dst, tmp, lo32=lo32, hi32=hi32):
-                    np.maximum(src, lo32, out=dst)
-                    np.minimum(dst, hi32, out=dst)
-            elif lo32 is not None:
-                def clip(src, dst, tmp, lo32=lo32):
-                    np.maximum(src, lo32, out=dst)
-            elif hi32 is not None:
-                def clip(src, dst, tmp, hi32=hi32):
-                    np.minimum(src, hi32, out=dst)
-            else:
-                def clip(src, dst, tmp):
-                    if dst is not src:
-                        np.copyto(dst, src)
-            stages.append(clip)
-        elif op in _OUT_BINARY and "c" in params:
-            fn = _OUT_BINARY[op]
-            c32 = np.asarray(params["c"], np.float32)
-            if params.get("side", "l") == "l":
-                def binop(src, dst, tmp, fn=fn, c32=c32):
-                    fn(src, c32, out=dst)
-            else:
-                def binop(src, dst, tmp, fn=fn, c32=c32):
-                    fn(c32, src, out=dst)
-            stages.append(binop)
-        else:
-            return None
-    return stages, needs_tmp
-
-
 def _buffer(scratch: Dict[object, np.ndarray], key: object,
             shape: Tuple[int, ...], dtype,
             fill: Optional[float] = None) -> np.ndarray:
@@ -210,17 +121,6 @@ def _buffer(scratch: Dict[object, np.ndarray], key: object,
             buf = np.full(shape, fill, dtype=dtype)
         scratch[key] = buf
     return buf
-
-
-def _apply_stages(scratch: Dict[object, np.ndarray], node: Node, compiled,
-                  src: np.ndarray, dst: np.ndarray) -> None:
-    stages, needs_tmp = compiled
-    tmp = _buffer(scratch, ("epi", id(node)), dst.shape, np.float32) \
-        if needs_tmp else None
-    cur = src
-    for stage in stages:
-        stage(cur, dst, tmp)
-        cur = dst
 
 
 class _Step:
@@ -298,7 +198,6 @@ class ExecutionPlan:
         writers = {"Conv": self._compile_conv, "Gemm": self._compile_gemm,
                    "MaxPool": self._compile_pool,
                    "AveragePool": self._compile_pool,
-                   "FusedElementwise": self._compile_fused_elementwise,
                    "GlobalAveragePool": self._compile_gap,
                    "Concat": self._compile_concat,
                    "Transpose": self._compile_transpose,
@@ -391,49 +290,6 @@ class ExecutionPlan:
         return all(self._static_dtype(t) == np.float32
                    for t in list(names) + list(node.outputs))
 
-    def _epilogue(self, node: Node):
-        """The node's fused epilogue as ``apply(y) -> y``, or None.
-
-        float32 results run the ``out=`` stages in place; other dtypes
-        (or tokens with no ``out=`` form) run the executor's stages.
-        """
-        tokens = list(node.attrs.get("fused_ops") or ())
-        if not tokens:
-            return None
-        compiled = _out_stages(tokens)
-        stages = _fused_stages(tokens)
-        scratch = self._scratch
-
-        def apply(y: np.ndarray) -> np.ndarray:
-            if compiled is None or y.dtype != np.float32:
-                dt = y.dtype
-                for fn in stages:
-                    y = fn(y, dt)
-                return y
-            _apply_stages(scratch, node, compiled, y, y)
-            return y
-        return apply
-
-    # -- fused elementwise chains ---------------------------------------
-    def _compile_fused_elementwise(self, node: Node) -> Optional[_StepFn]:
-        """Token chain compiled once into ``out=`` stages; one buffer
-        pass per stage, no per-node dispatch or env traffic between the
-        fused stages."""
-        out_name = node.outputs[0]
-        shape = self._static_shape(out_name)
-        compiled = _out_stages(list(node.attrs.get("fused_ops") or ()))
-        if shape is None or not compiled or not compiled[0] or \
-                not self._float32(node):
-            return None
-        x_name = node.inputs[0]
-        scratch = self._scratch
-
-        def run(env):
-            y = np.empty(shape, np.float32)
-            _apply_stages(scratch, node, compiled, env[x_name], y)
-            return [y]
-        return run
-
     # -- convolution ----------------------------------------------------
     def _compile_conv(self, node: Node) -> Optional[_StepFn]:
         xs = self._static_shape(node.inputs[0])
@@ -466,9 +322,6 @@ class ExecutionPlan:
         cacheable = w_name in self._stable_names and \
             (b_name is None or b_name in self._stable_names)
         packed: Dict[object, tuple] = {}
-        # fused activation/scalar epilogue (optimize >= 1): stages run
-        # the exact arithmetic the absorbed nodes' kernels would have
-        epilogue = self._epilogue(node)
         # 1x1 stride-respecting convolution is a pure GEMM over a
         # reshape of the input — same values in, same matmul, so the
         # im2col copy can be skipped without changing a bit
@@ -587,7 +440,7 @@ class ExecutionPlan:
                 np.add(y, bias, out=y)
             if y.dtype != x.dtype:
                 y = y.astype(x.dtype)
-            return [epilogue(y) if epilogue else y]
+            return [y]
         return run
 
     # -- Gemm -----------------------------------------------------------
@@ -617,7 +470,6 @@ class ExecutionPlan:
         trans_b = node.int_attr("transB", 0)
         alpha = node.float_attr("alpha", 1.0)
         beta = node.float_attr("beta", 1.0)
-        epilogue = self._epilogue(node)
         packed: Dict[object, tuple] = {}
 
         def run(env):
@@ -642,7 +494,7 @@ class ExecutionPlan:
                 np.add(y, c, out=y)
             if y.dtype != a0.dtype:
                 y = y.astype(a0.dtype)
-            return [epilogue(y) if epilogue else y]
+            return [y]
         return run
 
     # -- pooling --------------------------------------------------------
@@ -942,17 +794,9 @@ class ExecutionPlan:
 
     @property
     def num_fused_steps(self) -> int:
-        """Steps that execute work absorbed from neighboring nodes.
-
-        Counts conv/GEMM steps carrying a fused epilogue or folded
-        BatchNorm parameters, and fused elementwise chains — the plan
-        side of the backend planner's multi-node / folded fusion
-        groups.
-        """
-        return sum(1 for s in self._steps
-                   if s.node.attrs.get("fused_ops")
-                   or "folded_bn" in s.node.attrs
-                   or s.node.op_type == "FusedElementwise")
+        """Conv steps that carry folded BatchNorm parameters: the plan
+        side of the backend planner's ``folded`` conv groups."""
+        return sum(1 for s in self._steps if "folded_bn" in s.node.attrs)
 
     @property
     def arena_peak_bytes(self) -> int:
@@ -976,9 +820,8 @@ def compile_plan(graph: Graph, seed: int = 0,
 
     ``optimize`` selects the rewrite pipeline level (see
     :data:`repro.ir.passes.OPTIMIZE_LEVELS`): 0 folds shape constants
-    only, 1 adds bit-exact fusion rewrites and fast kernels, 2 adds
-    BatchNorm folding and numerics-relaxed kernels, 3 adds the
-    calibrated subnormal flush.  The plan reuses its scratch buffers, so
+    only, 1 adds bit-exact fast kernels, 2 adds BatchNorm folding and
+    numerics-relaxed kernels, 3 adds the calibrated subnormal flush.  The plan reuses its scratch buffers, so
     run it from one thread at a time.
     """
     return ExecutionPlan(graph, seed=seed, optimize=optimize)

@@ -312,7 +312,6 @@ def _infer_einsum(node: Node, ctx: _Ctx) -> None:
     "Softmax", "LogSoftmax", "Identity", "Dropout", "Clip",
     "BatchNormalization", "LayerNormalization", "GroupNormalization",
     "InstanceNormalization", "LpNormalization", "LRN", "Celu",
-    "FusedElementwise",
 )
 def _infer_shape_preserving(node: Node, ctx: _Ctx) -> None:
     x = ctx.info(node.inputs[0])

@@ -6,8 +6,8 @@ Three pieces, all dependency-free and safe to import from any layer:
   ``span()`` context managers and a zero-overhead no-op default;
 - :mod:`repro.obs.export` — Chrome-trace/Perfetto JSON, JSONL and
   plain-text exporters for collected spans;
-- :mod:`repro.obs.metrics` — counters/gauges/histograms and the
-  :class:`MetricsRegistry` (promoted from ``repro.service.metrics``).
+- :mod:`repro.obs.metrics` — counters, callback gauges, histograms
+  and the :class:`MetricsRegistry` every layer records into.
 
 See docs/OBSERVABILITY.md for the user-facing workflow
 (``proof run --trace out.json``, the ``/trace/<job>`` endpoint, the
@@ -15,7 +15,7 @@ Prometheus ``/metrics`` dump).
 """
 from .export import (chrome_trace_events, format_span_tree,
                      write_chrome_trace, write_jsonl)
-from .metrics import (Counter, Gauge, Histogram, MetricsRegistry,
+from .metrics import (Counter, Histogram, MetricsRegistry,
                       PROMETHEUS_CONTENT_TYPE, default_registry)
 from .trace import (NoopTracer, Span, Tracer, get_tracer, set_tracer,
                     use_tracer)
@@ -25,7 +25,7 @@ __all__ = [
     "get_tracer", "set_tracer", "use_tracer",
     "chrome_trace_events", "write_chrome_trace", "write_jsonl",
     "format_span_tree",
-    "Counter", "Gauge", "Histogram", "MetricsRegistry",
+    "Counter", "Histogram", "MetricsRegistry",
     "PROMETHEUS_CONTENT_TYPE", "default_registry",
     "configure_logging",
 ]

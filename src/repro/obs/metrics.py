@@ -1,8 +1,8 @@
 """Library-wide metrics: counters, gauges, histograms, one registry.
 
-Promoted out of ``repro.service.metrics`` (which re-exports from here
-for back-compat) so library code — the analysis cache, the profiler,
-backends — can record metrics without importing the service layer.
+They live in :mod:`repro.obs` rather than the service layer so library
+code — the analysis cache, the profiler, backends — can record metrics
+without importing the service layer.
 Everything an instrumented component observes about itself flows
 through a :class:`MetricsRegistry`; the registry renders a JSON
 snapshot, a flat text dump, and a Prometheus exposition-format dump
@@ -16,9 +16,9 @@ from __future__ import annotations
 
 import threading
 from collections import deque
-from typing import Any, Callable, Deque, Dict, List, Optional, Union
+from typing import Any, Callable, Deque, Dict, List, Optional
 
-__all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry",
+__all__ = ["Counter", "Histogram", "MetricsRegistry",
            "PROMETHEUS_CONTENT_TYPE", "default_registry"]
 
 #: the content type Prometheus scrapers expect for the text format
@@ -43,38 +43,6 @@ class Counter:
 
     @property
     def value(self) -> int:
-        with self._lock:
-            return self._value
-
-
-class Gauge:
-    """A settable instantaneous value (queue depth, live workers, …).
-
-    Unlike the registry's *callback* gauges (sampled lazily at snapshot
-    time), a ``Gauge`` object is pushed to by the instrumented code.
-    """
-
-    __slots__ = ("name", "_value", "_lock")
-
-    def __init__(self, name: str, value: float = 0.0) -> None:
-        self.name = name
-        self._value = float(value)
-        self._lock = threading.Lock()
-
-    def set(self, value: float) -> None:
-        with self._lock:
-            self._value = float(value)
-
-    def inc(self, n: float = 1.0) -> None:
-        with self._lock:
-            self._value += n
-
-    def dec(self, n: float = 1.0) -> None:
-        with self._lock:
-            self._value -= n
-
-    @property
-    def value(self) -> float:
         with self._lock:
             return self._value
 
@@ -138,17 +106,15 @@ class Histogram:
 class MetricsRegistry:
     """Named counters/gauges/histograms, get-or-create, thread-safe.
 
-    Gauges come in two flavours: ``gauge(name, fn)`` registers a
-    callback sampled lazily at snapshot time (back-compat with the
-    service layer), while ``gauge(name)`` returns a pushable
-    :class:`Gauge` object.
+    A gauge is a callback, registered with ``gauge(name, fn)`` and
+    sampled at snapshot time.
     """
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._counters: Dict[str, Counter] = {}
         self._histograms: Dict[str, Histogram] = {}
-        self._gauges: Dict[str, Union[Gauge, Callable[[], float]]] = {}
+        self._gauges: Dict[str, Callable[[], float]] = {}
         self._help: Dict[str, str] = {}
 
     def counter(self, name: str, help_text: Optional[str] = None) -> Counter:
@@ -168,20 +134,13 @@ class MetricsRegistry:
                 self._help[name] = help_text
             return self._histograms[name]
 
-    def gauge(self, name: str, fn: Optional[Callable[[], float]] = None,
-              help_text: Optional[str] = None) -> Optional[Gauge]:
-        """Register a callback gauge (``fn`` given) or get-or-create a
-        pushable :class:`Gauge` (no ``fn``)."""
+    def gauge(self, name: str, fn: Callable[[], float],
+              help_text: Optional[str] = None) -> None:
+        """Register ``fn`` as gauge ``name``, sampled at snapshot time."""
         with self._lock:
             if help_text:
                 self._help[name] = help_text
-            if fn is not None:
-                self._gauges[name] = fn
-                return None
-            existing = self._gauges.get(name)
-            if not isinstance(existing, Gauge):
-                existing = self._gauges[name] = Gauge(name)
-            return existing
+            self._gauges[name] = fn
 
     # ------------------------------------------------------------------
     def snapshot(self) -> Dict[str, Any]:
@@ -193,8 +152,7 @@ class MetricsRegistry:
             "counters": {n: c.value for n, c in sorted(counters.items())},
             "histograms": {n: h.summary()
                            for n, h in sorted(histograms.items())},
-            "gauges": {n: (g.value if isinstance(g, Gauge) else g())
-                       for n, g in sorted(gauges.items())},
+            "gauges": {n: g() for n, g in sorted(gauges.items())},
         }
 
     def render_text(self) -> str:
@@ -214,8 +172,8 @@ class MetricsRegistry:
     def render_prometheus(self) -> str:
         """Prometheus exposition format with ``# HELP``/``# TYPE`` lines.
 
-        Counters expose as ``<name>_total``, callback and pushed gauges
-        as gauges, histograms as summaries (quantiles from the
+        Counters expose as ``<name>_total``, callback gauges as
+        gauges, histograms as summaries (quantiles from the
         reservoir).  Serve with :data:`PROMETHEUS_CONTENT_TYPE`.
         """
         snap = self.snapshot()

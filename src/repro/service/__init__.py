@@ -11,7 +11,6 @@ content-addressed result cache keyed by request fingerprints and an
 from .cache import CacheStats, ResultCache
 from .dispatch import Dispatcher, HashRing, ShardBusyError, WorkerCrashError
 from .fingerprint import CACHE_KEY_VERSION, ProfileRequest, request_fingerprint
-from ..obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from .queue import (Job, JobCancelledError, JobFailedError, JobQueue,
                     JobStatus, JobTimeoutError, QueueFullError)
 from .policy import SchedulingPolicy
@@ -24,7 +23,6 @@ __all__ = [
     "CacheStats", "ResultCache",
     "Dispatcher", "HashRing", "ShardBusyError", "WorkerCrashError",
     "CACHE_KEY_VERSION", "ProfileRequest", "request_fingerprint",
-    "Counter", "Gauge", "Histogram", "MetricsRegistry",
     "Job", "JobCancelledError", "JobFailedError", "JobQueue", "JobStatus",
     "JobTimeoutError", "QueueFullError",
     "SchedulingPolicy", "ShardHandle",

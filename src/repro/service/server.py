@@ -334,6 +334,10 @@ class ShardedProfilingService(ProfilingService):
       supervisor respawns it) instead of abandoning a helper thread;
     * a hot graph's sibling configurations queue on one shard, so a
       skewed mix can leave the other shards idle;
+    * ``priority`` is accepted but not read: each shard serves its
+      waiting queue first in, first out (a retrying job goes back to
+      the head), where the thread tier's :class:`JobQueue` orders
+      queued jobs by priority;
     * profiler spans from inside shard processes do not reach the
       parent tracer — ``/trace/<job>`` shows dispatch-level spans only.
     """

@@ -1,4 +1,4 @@
-"""Optimized execution plans: fast kernels, equivalence, fused-step
+"""Optimized execution plans: fast kernels, equivalence, BN-folded step
 parity with the backend fusion planner.
 
 Level 1 must be bit-identical to the unoptimized plan (same seed, same
@@ -81,8 +81,6 @@ class TestLevelOneBitIdentity:
         y = b.tanh(y)
         y = b.mul_scalar(y, 0.5)
         g = b.finish(y)
-        plan = compile_plan(g, optimize=1)
-        assert plan.num_fused_steps >= 1
         o0, o1 = run_levels(g, 0, 1)
         assert bit_equal(o0, o1)
 
@@ -135,7 +133,7 @@ class TestLevelTwoEquivalence:
         p2 = compile_plan(g, seed=0, optimize=2)
         ref = next(iter(p0.run(feeds).values()))
         out = next(iter(p2.run(feeds).values()))
-        assert p2.num_fused_steps >= 2          # both convs folded+fused
+        assert p2.num_fused_steps >= 2          # both convs BN-folded
         self.assert_close(ref, out)
 
     def test_depthwise_small_spatial_kernel(self):
@@ -166,10 +164,11 @@ class TestLevelTwoEquivalence:
 
 
 class TestFusedStepParity:
-    """The plan's fused-step count must agree with the backend fusion
-    planner's conv fusion groups — same structural decisions, two
-    representations.  The planner's conv pass runs before its matmul
-    and pointwise passes, so its conv groups do not depend on them."""
+    """The plan's fused-step count (its BN-folded convs) must agree with
+    the backend fusion planner's conv groups that fold a BatchNorm —
+    same structural decision, two representations.  The planner's conv
+    pass runs before its matmul and pointwise passes, so its conv
+    groups do not depend on them."""
 
     @pytest.mark.parametrize("key", ["resnet34", "mobilenetv2-10"])
     def test_counts_match_backend_planner(self, key):
@@ -178,8 +177,7 @@ class TestFusedStepParity:
         arep = AnalyzeRepresentation(g, DataType.FLOAT32)
         groups = FusionPlanner(arep, FusionConfig.moderate()).plan()
         backend_fused = sum(1 for grp in groups
-                            if grp.kind == GroupKind.CONV
-                            and (grp.size > 1 or grp.folded))
+                            if grp.kind == GroupKind.CONV and grp.folded)
         assert plan.num_fused_steps == backend_fused
 
 
@@ -214,3 +212,23 @@ class TestPlanConstruction:
         x = b.input("x", (4,))
         g = b.finish(b.relu(x))
         assert isinstance(compile_plan(g, optimize=1), ExecutionPlan)
+
+
+class TestPlanRunsSourceOps:
+    """Every level executes the model's own ONNX nodes: no compiled
+    step has an op type the source graph lacks, and no compiled node
+    carries an attribute its same-named source node lacks, except the
+    ``folded_bn`` marker BatchNorm folding leaves on a conv."""
+
+    @pytest.mark.parametrize("key", ["shufflenetv2-10", "efficientnet-b0",
+                                     "vit-tiny"])
+    def test_compiled_nodes_come_from_source(self, key):
+        g = build_model(key, batch_size=1, image_size=64)
+        source_types = {n.op_type for n in g.nodes}
+        by_name = {n.name: n for n in g.nodes}
+        for level in range(4):
+            plan = compile_plan(g, optimize=level)
+            for node in plan.plan_graph.nodes:
+                assert node.op_type in source_types, (level, node.op_type)
+                extra = set(node.attrs) - set(by_name[node.name].attrs)
+                assert extra <= {"folded_bn"}, (level, node.name, extra)

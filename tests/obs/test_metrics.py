@@ -1,9 +1,8 @@
 """Metrics primitives and the Prometheus exposition dump."""
 import pytest
 
-from repro.obs.metrics import (PROMETHEUS_CONTENT_TYPE, Counter, Gauge,
-                               Histogram, MetricsRegistry,
-                               default_registry)
+from repro.obs.metrics import (PROMETHEUS_CONTENT_TYPE, Counter, Histogram,
+                               MetricsRegistry, default_registry)
 
 
 # ----------------------------------------------------------------------
@@ -47,18 +46,6 @@ def test_single_sample_histogram():
     assert s["max"] == 3.5
 
 
-# ----------------------------------------------------------------------
-# gauge
-# ----------------------------------------------------------------------
-def test_gauge_set_inc_dec():
-    g = Gauge("depth")
-    assert g.value == 0.0
-    g.set(5)
-    g.inc()
-    g.dec(2.5)
-    assert g.value == 3.5
-
-
 def test_counter_rejects_negative():
     c = Counter("n")
     with pytest.raises(ValueError):
@@ -68,17 +55,13 @@ def test_counter_rejects_negative():
 # ----------------------------------------------------------------------
 # registry
 # ----------------------------------------------------------------------
-def test_registry_gauge_dual_mode():
+def test_registry_gauge_samples_callback_at_snapshot():
     reg = MetricsRegistry()
-    # callback flavour: registers, returns None, sampled at snapshot
-    assert reg.gauge("cb", lambda: 7.0) is None
-    # pushable flavour: get-or-create returns the same object
-    g1 = reg.gauge("push")
-    g2 = reg.gauge("push")
-    assert g1 is g2
-    g1.set(4)
-    snap = reg.snapshot()
-    assert snap["gauges"] == {"cb": 7.0, "push": 4.0}
+    depth = [7.0]
+    assert reg.gauge("cb", lambda: depth[0]) is None
+    assert reg.snapshot()["gauges"] == {"cb": 7.0}
+    depth[0] = 4.0
+    assert reg.snapshot()["gauges"] == {"cb": 4.0}
 
 
 def test_registry_get_or_create_is_stable():
